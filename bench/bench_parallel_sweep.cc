@@ -2,11 +2,15 @@
  * @file
  * Serial-vs-parallel wall time of the paper's hottest loops: the full
  * DSE grid sweep and the Table II per-application search, on the
- * ThreadPool substrate every study now uses.
+ * ThreadPool substrate every study now uses. Also times the memoized
+ * DSE sweep (cold and warm explorer memo) against plain serial
+ * recomputation with NodeEvaluator::evaluate, in configs/sec.
  *
  * Also cross-checks that the parallel results are element-for-element
- * identical to the single-threaded run (exit code 1 on mismatch), so
- * the CI smoke job exercises the determinism guarantee end-to-end.
+ * identical to the single-threaded run, and that the sweep's scores
+ * are bit-identical to the scalar recomputation (exit code 1 on either
+ * mismatch), so the CI smoke job exercises the determinism guarantee
+ * end-to-end.
  *
  * Usage: bench_parallel_sweep [THREADS] [--json <path>]
  *   (THREADS default: ENA_THREADS / all)
@@ -21,6 +25,7 @@
 
 #include "bench_util.hh"
 #include "core/dse.hh"
+#include "util/stats_math.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
 
@@ -58,6 +63,61 @@ runAll(const DesignSpaceExplorer &dse, const NodeConfig &best_mean,
     out.rows = dse.tableII(best_mean);
     out.tableSec = secondsSince(t0);
     return out;
+}
+
+/** Per-config aggregates over all apps, in grid-enumeration order. */
+struct Aggregates
+{
+    std::vector<double> geomeanFlops;
+    std::vector<double> meanBudgetPowerW;
+    std::vector<double> maxBudgetPowerW;
+};
+
+/** Plain recomputation: per-point evaluate() over every app, the fold
+ *  of NodeEvaluator::geomeanFlops/meanBudgetPower/maxBudgetPower. */
+Aggregates
+scalarOracle(const NodeEvaluator &eval, const DseGrid &grid)
+{
+    const std::vector<App> &apps = allApps();
+    Aggregates a;
+    std::vector<double> flops(apps.size());
+    std::vector<double> budget(apps.size());
+    for (int cu : grid.cus) {
+        for (double f : grid.freqsGhz) {
+            for (double bw : grid.bwsTbs) {
+                NodeConfig cfg;
+                cfg.cus = cu;
+                cfg.freqGhz = f;
+                cfg.bwTbs = bw;
+                for (std::size_t k = 0; k < apps.size(); ++k) {
+                    EvalResult r = eval.evaluate(cfg, apps[k]);
+                    flops[k] = r.perf.flops;
+                    budget[k] = r.power.budgetPower();
+                }
+                double worst = 0.0;
+                for (double w : budget)
+                    worst = std::max(worst, w);
+                a.geomeanFlops.push_back(geomean(flops));
+                a.meanBudgetPowerW.push_back(mean(budget));
+                a.maxBudgetPowerW.push_back(worst);
+            }
+        }
+    }
+    return a;
+}
+
+bool
+matchesOracle(const std::vector<DsePoint> &points, const Aggregates &o)
+{
+    if (points.size() != o.geomeanFlops.size())
+        return false;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (points[i].geomeanFlops != o.geomeanFlops[i] ||
+            points[i].meanBudgetPowerW != o.meanBudgetPowerW[i] ||
+            points[i].maxBudgetPowerW != o.maxBudgetPowerW[i])
+            return false;
+    }
+    return true;
 }
 
 bool
@@ -105,8 +165,9 @@ main(int argc, char **argv)
 
     bench::banner("Parallel sweep engine",
                   "Wall time of the paper DSE grid (sweep + Table II "
-                  "search) serial vs parallel,\nand a bitwise "
-                  "serial/parallel equivalence check.");
+                  "search) serial vs parallel, memo vs recompute,\n"
+                  "and bitwise serial/parallel/scalar equivalence "
+                  "checks.");
 
     const NodeEvaluator &eval = bench::evaluator();
     DseGrid grid = DseGrid::paperGrid();
@@ -120,6 +181,27 @@ main(int argc, char **argv)
 
     ThreadPool::setGlobalThreads(1);
     DseOutputs serial = runAll(dse, best_mean, repeats);
+
+    // Memo vs recompute, serial: the scalar oracle recomputes every
+    // (config, app); a fresh explorer's sweep fills its memo (cold); a
+    // repeated sweep on one explorer is served from it (warm).
+    auto t0 = std::chrono::steady_clock::now();
+    Aggregates oracle;
+    for (int r = 0; r < repeats; ++r)
+        oracle = scalarOracle(eval, grid);
+    const double scalar_sec = secondsSince(t0) / repeats;
+
+    t0 = std::chrono::steady_clock::now();
+    for (int r = 0; r < repeats; ++r) {
+        DesignSpaceExplorer fresh(eval, grid, cal::nodePowerBudgetW);
+        fresh.sweep(PowerOptConfig::none());
+    }
+    const double cold_sec = secondsSince(t0) / repeats;
+
+    t0 = std::chrono::steady_clock::now();
+    for (int r = 0; r < repeats; ++r)
+        dse.sweep(PowerOptConfig::none());
+    const double warm_sec = secondsSince(t0) / repeats;
 
     ThreadPool::setGlobalThreads(threads);
     DseOutputs parallel = runAll(dse, best_mean, repeats);
@@ -140,7 +222,29 @@ main(int argc, char **argv)
         .add(table_speedup, "%.2fx");
     bench::show(t, "parallel_sweep");
 
-    const bool bit_identical = identical(serial, parallel);
+    std::cout << "\n";
+    const double n = static_cast<double>(grid.size());
+    TextTable m({"serial path", "ms/pass", "configs/sec", "vs scalar"});
+    m.row()
+        .add("scalar recompute (oracle)")
+        .add(scalar_sec * 1e3, "%.2f")
+        .add(n / scalar_sec, "%.0f")
+        .add(1.0, "%.2fx");
+    m.row()
+        .add("DSE sweep, cold memo")
+        .add(cold_sec * 1e3, "%.2f")
+        .add(n / cold_sec, "%.0f")
+        .add(scalar_sec / cold_sec, "%.2fx");
+    m.row()
+        .add("DSE sweep, warm memo")
+        .add(warm_sec * 1e3, "%.2f")
+        .add(n / warm_sec, "%.0f")
+        .add(scalar_sec / warm_sec, "%.2fx");
+    bench::show(m, "memo_vs_recompute");
+
+    const bool bit_identical = identical(serial, parallel) &&
+                               matchesOracle(serial.points, oracle) &&
+                               matchesOracle(parallel.points, oracle);
     if (!json_path.empty()) {
         bench::JsonReport report("parallel_sweep");
         report.metric("grid_configs",
@@ -154,6 +258,9 @@ main(int argc, char **argv)
         report.metric("tableII_serial_ms", serial.tableSec * 1e3);
         report.metric("tableII_parallel_ms", parallel.tableSec * 1e3);
         report.metric("tableII_speedup", table_speedup);
+        report.metric("scalar_configs_per_sec", n / scalar_sec);
+        report.metric("memo_cold_configs_per_sec", n / cold_sec);
+        report.metric("memo_warm_configs_per_sec", n / warm_sec);
         report.metric("bit_identical", bit_identical ? 1.0 : 0.0);
         if (!report.writeTo(json_path))
             return 1;
@@ -161,11 +268,13 @@ main(int argc, char **argv)
 
     if (!bit_identical) {
         std::cerr << "\nFAIL: parallel results differ from serial "
-                     "results\n";
+                     "results, or sweep scores differ from the scalar "
+                     "oracle\n";
         return 1;
     }
     std::cout << "\ndeterminism: parallel output is element-for-element "
-                 "identical to serial output\n";
+                 "identical to serial output, and sweep scores to the "
+                 "scalar oracle\n";
 
     // The speedup gate only applies where parallelism is physically
     // available (acceptance: >= 2x with 4+ hardware threads).

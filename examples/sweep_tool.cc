@@ -30,6 +30,7 @@
 
 #include "core/ena.hh"
 #include "server/client.hh"
+#include "util/stats_math.hh"
 #include "util/status.hh"
 #include "util/string_utils.hh"
 #include "util/thread_pool.hh"
@@ -101,10 +102,10 @@ main(int argc, char **argv)
     Expected<double> step = tryNumber(args[4], "STEP");
     if (!step.ok())
         return usage(step.status());
-    if (*step <= 0.0 || *to < *from)
-        return usage(Status::outOfRange(
-            "need STEP > 0 and TO >= FROM, got FROM=", *from,
-            " TO=", *to, " STEP=", *step));
+    Expected<std::vector<double>> values =
+        trySweepAxisValues(*from, *to, *step);
+    if (!values.ok())
+        return usage(values.status());
     if (axis != "cus" && axis != "freq" && axis != "bw")
         return usage(Status::invalidArgument("unknown axis '", axis,
                                              "'"));
@@ -158,15 +159,11 @@ main(int argc, char **argv)
             rows.push_back(os.str());
         }
     } else {
-        std::vector<double> values;
-        for (double v = *from; v <= *to + 1e-9; v += *step)
-            values.push_back(v);
-
         // Evaluate every point on the process-wide pool (ENA_THREADS)
         // and emit the CSV rows in sweep order afterwards.
         NodeEvaluator eval;
-        rows = parallel_map(values.size(), [&](std::size_t i) {
-            double v = values[i];
+        rows = parallel_map(values->size(), [&](std::size_t i) {
+            double v = (*values)[i];
             NodeConfig cfg = base;
             if (axis == "cus")
                 cfg.cus = static_cast<int>(v);

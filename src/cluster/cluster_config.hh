@@ -108,6 +108,24 @@ struct ClusterConfig
         if (torusX < 0 || torusY < 0 || torusZ < 0)
             return Status::outOfRange(
                 "ClusterConfig: bad torus dimensions");
+        if (topology == ClusterTopology::Torus3D) {
+            const bool any = torusX > 0 || torusY > 0 || torusZ > 0;
+            const bool all = torusX > 0 && torusY > 0 && torusZ > 0;
+            if (any && !all) {
+                return Status::invalidArgument(
+                    "ClusterConfig: torus dimensions must be all "
+                    "explicit or all auto, got ", torusX, "x", torusY,
+                    "x", torusZ);
+            }
+            const long long product =
+                static_cast<long long>(torusX) * torusY * torusZ;
+            if (all && product != nodes) {
+                return Status::invalidArgument(
+                    "ClusterConfig: torus ", torusX, "x", torusY, "x",
+                    torusZ, " has ", product, " nodes, config says ",
+                    nodes);
+            }
+        }
         return Status();
     }
 

@@ -46,8 +46,7 @@ ClusterEvaluator::evaluate(const NodeConfig &cfg, App app,
     ClusterResult r;
     r.app = app;
     r.spec = spec;
-    r.node = memo_ ? eval_.evaluateMemo(cfg, app, *memo_)
-                   : eval_.evaluate(cfg, app);
+    r.node = eval_.evaluate(cfg, app);
 
     r.comm = CommModel::cost(profileFor(app), spec, net_,
                              r.node.perf.flops);

@@ -45,15 +45,6 @@ class ClusterEvaluator
   public:
     ClusterEvaluator(const NodeEvaluator &eval, ClusterConfig cluster);
 
-    /**
-     * Route node evaluations through a caller-owned memo cache (see
-     * core/eval_memo.hh): sweeps that evaluate the same (config, app)
-     * across many cluster shapes compute it once. Results stay
-     * bit-identical. The cache must outlive this evaluator; null
-     * restores unmemoized evaluation.
-     */
-    void setMemoCache(EvalMemoCache *memo) { memo_ = memo; }
-
     /** Evaluate one app on one node config across the whole machine. */
     ClusterResult evaluate(const NodeConfig &cfg, App app,
                            const CommSpec &spec) const;
@@ -80,7 +71,6 @@ class ClusterEvaluator
     ClusterConfig cluster_;
     InterNodeNetwork net_;
     ExascaleProjector proj_;
-    EvalMemoCache *memo_ = nullptr;   ///< optional, caller-owned
 };
 
 } // namespace ena

@@ -162,18 +162,12 @@ InterNodeNetwork::buildDragonfly()
 void
 InterNodeNetwork::buildTorus()
 {
+    // The constructor's validate() guarantees all-explicit dims whose
+    // product is the node count, or all-auto dims.
     const int n = cfg_.nodes;
     int nx = cfg_.torusX, ny = cfg_.torusY, nz = cfg_.torusZ;
-    if (nx > 0 && ny > 0 && nz > 0) {
-        if (static_cast<long long>(nx) * ny * nz != n)
-            ENA_FATAL("torus ", nx, "x", ny, "x", nz, " has ",
-                      static_cast<long long>(nx) * ny * nz,
-                      " nodes, config says ", n);
-    } else if (nx == 0 && ny == 0 && nz == 0) {
+    if (nx == 0)
         nearCubicDims(n, nx, ny, nz);
-    } else {
-        ENA_FATAL("torus dimensions must be all explicit or all auto");
-    }
     torusX_ = nx;
     torusY_ = ny;
     torusZ_ = nz;

@@ -8,6 +8,7 @@
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
 #include "util/logging.hh"
+#include "util/stats_math.hh"
 #include "util/string_utils.hh"
 #include "util/thread_pool.hh"
 
@@ -38,19 +39,6 @@ int
 optsBits(const PowerOptConfig &o)
 {
     return powerOptBits(o);
-}
-
-/**
- * Points per batch: large enough that the per-batch term caches
- * amortize (each batch pays one pow() per distinct axis value it
- * touches), small enough that every worker gets several batches.
- */
-std::size_t
-batchChunkSize(std::size_t n, int threads)
-{
-    std::size_t per_thread =
-        n / (static_cast<std::size_t>(threads) * 4);
-    return std::clamp<std::size_t>(per_thread, 32, 4096);
 }
 
 /**
@@ -160,13 +148,13 @@ DesignSpaceExplorer::sweep(const PowerOptConfig &opts,
 {
     // Two phases. Phase 1 (serial, cheap): replay journaled points and
     // quarantine invalid configs, collecting the surviving indices.
-    // Phase 2: batched evaluation of the survivors on the ThreadPool —
-    // chunks become NodeConfigBatches sharing the sweep-level memo
-    // cache. Workers fill their own slots and all argmax reductions
-    // happen elsewhere in index order, so the output is identical to
-    // the serial enumeration for any thread count; with a journal
-    // every finished slot also streams to disk so a killed run resumes
-    // instead of recomputing.
+    // Phase 2: score the survivors on the ThreadPool, one task per
+    // point through the sweep-level memo cache; a point that throws is
+    // quarantined alone. Workers fill their own slots and all argmax
+    // reductions happen elsewhere in index order, so the output is
+    // identical to the serial enumeration for any thread count; with a
+    // journal every finished slot also streams to disk so a killed run
+    // resumes instead of recomputing.
     ENA_SPAN("dse", "sweep");
     const double t0 = telemetry::nowUs();
     const std::size_t n = grid_.size();
@@ -208,66 +196,37 @@ DesignSpaceExplorer::sweep(const PowerOptConfig &opts,
         todo.push_back(i);
     }
 
-    if (!todo.empty()) {
-        NodeConfig base;
-        base.opts = opts;
-        const std::size_t chunk =
-            batchChunkSize(todo.size(), ThreadPool::global().threads());
-        const std::size_t num_chunks = (todo.size() + chunk - 1) / chunk;
-        ThreadPool::global().parallelFor(num_chunks, [&](std::size_t c) {
-            telemetry::ScopedSpan span("dse", "evaluate_batch");
-            const std::size_t begin = c * chunk;
-            const std::size_t end =
-                std::min(begin + chunk, todo.size());
-
-            NodeConfigBatch b;
-            b.base = base;
-            b.reserve(end - begin);
-            for (std::size_t j = begin; j < end; ++j) {
-                const NodeConfig &cfg = points[todo[j]].cfg;
-                b.push(cfg.cus, cfg.freqGhz, cfg.bwTbs);
+    const std::vector<App> &apps = allApps();
+    ThreadPool::global().parallelFor(todo.size(), [&](std::size_t j) {
+        const std::size_t i = todo[j];
+        DsePoint &p = points[i];
+        try {
+            // The fold of NodeEvaluator::geomeanFlops/meanBudgetPower/
+            // maxBudgetPower, over one memoized evaluation per app.
+            std::vector<double> flops(apps.size()), budget(apps.size());
+            for (std::size_t a = 0; a < apps.size(); ++a) {
+                EvalResult r = eval_.evaluateMemo(p.cfg, apps[a], memo_);
+                flops[a] = r.perf.flops;
+                budget[a] = r.power.budgetPower();
             }
-
-            try {
-                BatchAggregates agg = eval_.evaluateBatchAll(b, &memo_);
-                for (std::size_t j = begin; j < end; ++j) {
-                    DsePoint &p = points[todo[j]];
-                    p.geomeanFlops = agg.geomeanFlops[j - begin];
-                    p.meanBudgetPowerW = agg.meanBudgetPowerW[j - begin];
-                    p.maxBudgetPowerW = agg.maxBudgetPowerW[j - begin];
-                    p.feasible = p.maxBudgetPowerW <= budgetW_;
-                    if (journal)
-                        journal->append(keys[todo[j]],
-                                        encodeDsePoint(p));
-                }
-            } catch (const std::exception &) {
-                // One bad point poisons a whole batch; fall back to
-                // per-point scalar evaluation so only the offender is
-                // quarantined (same scoring path as the oracle).
-                for (std::size_t j = begin; j < end; ++j) {
-                    DsePoint &p = points[todo[j]];
-                    try {
-                        p.geomeanFlops = eval_.geomeanFlops(p.cfg);
-                        p.meanBudgetPowerW = eval_.meanBudgetPower(p.cfg);
-                        p.maxBudgetPowerW = eval_.maxBudgetPower(p.cfg);
-                        p.feasible = p.maxBudgetPowerW <= budgetW_;
-                    } catch (const std::exception &e) {
-                        std::size_t i = todo[j];
-                        p = DsePoint{};
-                        p.cfg = configAt(i, opts);
-                        p.ok = false;
-                        p.error = e.what();
-                        failedCounter().add();
-                        warn("DSE: quarantined grid point ", i, " (",
-                             p.cfg.label(), "): ", p.error);
-                    }
-                    if (journal)
-                        journal->append(keys[todo[j]],
-                                        encodeDsePoint(p));
-                }
-            }
-        });
-    }
+            p.geomeanFlops = geomean(flops);
+            p.meanBudgetPowerW = mean(budget);
+            p.maxBudgetPowerW = 0.0;
+            for (double w : budget)
+                p.maxBudgetPowerW = std::max(p.maxBudgetPowerW, w);
+            p.feasible = p.maxBudgetPowerW <= budgetW_;
+        } catch (const std::exception &e) {
+            p = DsePoint{};
+            p.cfg = configAt(i, opts);
+            p.ok = false;
+            p.error = e.what();
+            failedCounter().add();
+            warn("DSE: quarantined grid point ", i, " (", p.cfg.label(),
+                 "): ", p.error);
+        }
+        if (journal)
+            journal->append(keys[i], encodeDsePoint(p));
+    });
 
     configsCounter().add(n);
     publishSweepRate(n, t0);
@@ -303,26 +262,10 @@ DesignSpaceExplorer::findBestForApp(App app,
     const std::size_t n = grid_.size();
     std::vector<double> flops(n), budget(n);
 
-    NodeConfig base;
-    base.opts = opts;
-    const std::size_t chunk =
-        batchChunkSize(n, ThreadPool::global().threads());
-    const std::size_t num_chunks = (n + chunk - 1) / chunk;
-    ThreadPool::global().parallelFor(num_chunks, [&](std::size_t c) {
-        const std::size_t begin = c * chunk;
-        const std::size_t end = std::min(begin + chunk, n);
-        NodeConfigBatch b;
-        b.base = base;
-        b.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) {
-            NodeConfig cfg = configAt(i, opts);
-            b.push(cfg.cus, cfg.freqGhz, cfg.bwTbs);
-        }
-        BatchEvalResult r = eval_.evaluateBatch(b, app, &memo_);
-        for (std::size_t i = begin; i < end; ++i) {
-            flops[i] = r.flops[i - begin];
-            budget[i] = r.budgetPowerW[i - begin];
-        }
+    ThreadPool::global().parallelFor(n, [&](std::size_t i) {
+        EvalResult r = eval_.evaluateMemo(configAt(i, opts), app, memo_);
+        flops[i] = r.perf.flops;
+        budget[i] = r.power.budgetPower();
     });
     configsCounter().add(n);
 

@@ -94,9 +94,9 @@ struct TableIIRow
  * every grid point is scored independently into its own slot and all
  * argmax reductions happen on the caller in grid-enumeration order.
  *
- * Grid points are scored through NodeEvaluator::evaluateBatch —
- * ThreadPool chunks become batches — with a sweep-level EvalMemoCache
- * shared across sweeps and searches of the same explorer: repeated
+ * Grid points are scored one per pool task through
+ * NodeEvaluator::evaluateMemo, with a sweep-level EvalMemoCache shared
+ * across sweeps and searches of the same explorer: repeated
  * evaluations of a (config, app) pair (tableII's per-app searches,
  * repeated sweeps) are served from the cache, which is bit-identical
  * to recomputation by construction (see core/eval_memo.hh).

@@ -110,8 +110,9 @@ EvalMemoCache::sharedInstance()
 {
     // Leaked on purpose: server worker threads may still be draining
     // requests while static destructors run; a cache with no destructor
-    // scheduled cannot be used after free. 1M entries per result kind.
-    static EvalMemoCache *cache = new EvalMemoCache(1u << 20);
+    // scheduled cannot be used after free. Default capacity, so shard
+    // eviction bounds a long-running server's memory.
+    static EvalMemoCache *cache = new EvalMemoCache();
     return *cache;
 }
 

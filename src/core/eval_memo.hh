@@ -15,7 +15,7 @@
  * serving from this cache is bit-identical by construction.
  *
  * Thread safety: the cache is sharded by key hash with one mutex per
- * shard, so concurrent batch chunks on the ThreadPool share it safely.
+ * shard, so concurrent ThreadPool tasks share it safely.
  * Eviction clears a whole shard when it reaches its capacity slice —
  * crude, but correctness-neutral (a miss just recomputes the same
  * bits) and free of bookkeeping on the hit path.
@@ -105,9 +105,9 @@ class EvalMemoCache
     explicit EvalMemoCache(std::size_t max_entries = 1u << 16);
 
     /**
-     * The process-wide cache shared by the evaluation server and the
-     * CLI paths (cross-tenant dedup: identical grid points from any
-     * client evaluate once). Initialization is race-free (C++ magic
+     * The process-wide cache behind the evaluation server's eval_node
+     * and sweep ops (cross-tenant dedup: identical grid points from
+     * any client evaluate once). Initialization is race-free (C++ magic
      * static) and the instance is intentionally leaked so worker
      * threads draining after main() returns never touch a destroyed
      * cache.

@@ -2,26 +2,58 @@
 
 #include <algorithm>
 
+#include "core/eval_memo.hh"
 #include "telemetry/metrics.hh"
 #include "util/stats_math.hh"
 
 namespace ena {
+
+namespace {
+
+telemetry::Counter &
+evalsCounter()
+{
+    static telemetry::Counter &c = telemetry::counter(
+        "node.evaluations",
+        "(config, application) pairs evaluated by NodeEvaluator");
+    return c;
+}
+
+} // anonymous namespace
 
 EvalResult
 NodeEvaluator::evaluate(const NodeConfig &cfg, App app) const
 {
     // Hottest call in the stack (every sweep funnels through here):
     // one cached-reference relaxed increment, no spans.
-    static telemetry::Counter &evals = telemetry::counter(
-        "node.evaluations",
-        "(config, application) pairs evaluated by NodeEvaluator");
-    evals.add();
+    evalsCounter().add();
 
     const KernelProfile &k = profileFor(app);
     EvalResult r;
     r.app = app;
     r.perf = perfModel_.evaluate(cfg, k);
     r.power = powerModel_.evaluate(cfg, r.perf.activity);
+    return r;
+}
+
+EvalResult
+NodeEvaluator::evaluateMemo(const NodeConfig &cfg, App app,
+                            EvalMemoCache &memo) const
+{
+    evalsCounter().add();
+
+    EvalResult r;
+    r.app = app;
+    PerfMemoKey pk = perfMemoKey(app, cfg.cus, cfg.freqGhz, cfg.bwTbs);
+    if (!memo.findPerf(pk, &r.perf)) {
+        r.perf = perfModel_.evaluate(cfg, profileFor(app));
+        memo.storePerf(pk, r.perf);
+    }
+    PowerMemoKey wk = powerMemoKey(app, cfg);
+    if (!memo.findPower(wk, &r.power)) {
+        r.power = powerModel_.evaluate(cfg, r.perf.activity);
+        memo.storePower(wk, r.power);
+    }
     return r;
 }
 

@@ -2,6 +2,8 @@
  * @file
  * Combined performance + power evaluation of one ENA node configuration
  * for one application: the unit of work for every study and the DSE.
+ * evaluate() is the only way a (config, application) pair is scored;
+ * evaluateMemo() routes the same computation through a memo cache.
  */
 
 #ifndef ENA_CORE_NODE_EVALUATOR_HH
@@ -10,7 +12,6 @@
 #include <vector>
 
 #include "common/node_config.hh"
-#include "core/eval_batch.hh"
 #include "core/perf_model.hh"
 #include "power/node_power.hh"
 #include "workloads/kernel_profile.hh"
@@ -39,29 +40,13 @@ class NodeEvaluator
     EvalResult evaluate(const NodeConfig &cfg, App app) const;
 
     /**
-     * Scalar evaluation through a sweep-level memo cache: identical
-     * bits to evaluate() (hits return previously computed results,
-     * misses compute through the same models and remember them).
+     * evaluate() through a memo cache: identical bits (hits return
+     * previously computed results, misses compute through the same
+     * models and remember them). Used by the DSE explorer and the
+     * evaluation server, the two owners of an EvalMemoCache.
      */
     EvalResult evaluateMemo(const NodeConfig &cfg, App app,
                             EvalMemoCache &memo) const;
-
-    /**
-     * Batch hot path: score every point of @p batch for one
-     * application. Bit-identical to calling evaluate() per point (the
-     * scalar path is the reference oracle). @p memo, when given, is a
-     * sweep-level cache shared across batches and threads.
-     */
-    BatchEvalResult evaluateBatch(const NodeConfigBatch &batch, App app,
-                                  EvalMemoCache *memo = nullptr) const;
-
-    /**
-     * Score every point of @p batch across all Table I applications
-     * and assemble the DSE aggregates; element i is bit-identical to
-     * geomeanFlops/meanBudgetPower/maxBudgetPower of batch.at(i).
-     */
-    BatchAggregates evaluateBatchAll(const NodeConfigBatch &batch,
-                                     EvalMemoCache *memo = nullptr) const;
 
     /** Evaluate every Table I application on one configuration. */
     std::vector<EvalResult> evaluateAll(const NodeConfig &cfg) const;

@@ -70,15 +70,7 @@ PerfModel::evaluate(const NodeConfig &cfg, const KernelProfile &k) const
 {
     cfg.validate();
 
-    // The whole evaluation lives in perf_terms::evaluatePerf so the
-    // batch path (core/eval_batch.cc) runs the identical operation
-    // sequence; the scale factors and the usable-bandwidth term are
-    // precomputed here exactly as the batch path's term caches would.
-    double cu_scale = perf_terms::cuScale(cfg.cus, k);
-    double f_scale = perf_terms::freqScale(cfg.freqGhz, k);
-    double usable = perf_terms::usableBandwidthGbs(cfg.bwTbs, k);
-    return perf_terms::evaluatePerf(cfg.cus, cfg.freqGhz, cfg.bwTbs, k,
-                                    cu_scale, f_scale, usable);
+    return perf_terms::evaluatePerf(cfg.cus, cfg.freqGhz, cfg.bwTbs, k);
 }
 
 double

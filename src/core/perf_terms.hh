@@ -1,20 +1,17 @@
 /**
  * @file
- * The performance model's arithmetic, factored into inline term
- * functions shared verbatim by the scalar oracle (PerfModel::evaluate)
- * and the batch evaluator (NodeEvaluator::evaluateBatch).
+ * The performance model's arithmetic as inline term functions, called
+ * by PerfModel::evaluate (the whole evaluation, via evaluatePerf) and
+ * by PerfModel's per-term accessors used in the studies.
  *
- * Both paths execute the *same* IEEE-754 operation sequence on the
- * same inputs, which is what makes batched results bit-identical to
- * scalar ones. Each term's parameter list names exactly the NodeConfig
- * fields it reads — this is the content address used by the
- * memoization caches (core/eval_memo.hh): a term whose inputs repeat
- * across grid points may be served from cache because recomputing it
- * would produce the same bits.
+ * Each term's parameter list names exactly the NodeConfig fields it
+ * reads, which is also the content address used by the memoization
+ * cache (core/eval_memo.hh): a memoized result is bit-identical to
+ * recomputation because the same inputs run the same operations.
  *
  * Do not "simplify" the expressions here: reassociating a product or
- * hoisting a division changes the rounding sequence and breaks the
- * bit-identity gate in bench_batch_eval and test_eval_batch.
+ * hoisting a division changes the rounding sequence, and with it the
+ * EXPERIMENTS anchors and every bitwise serial/parallel/server gate.
  */
 
 #ifndef ENA_CORE_PERF_TERMS_HH
@@ -132,68 +129,29 @@ makeActivity(double bw_tbs, const KernelProfile &k, double flops,
 }
 
 /**
- * One side of the smooth-min roofline: pow(rate, -rooflineNorm). The
- * compute side depends only on (cus, freqGhz) per kernel, so the batch
- * path caches it across the bandwidth axis.
- */
-inline double
-rooflinePow(double rate)
-{
-    return std::pow(rate, -rooflineNorm);
-}
-
-/**
- * smoothMin(a, b, rooflineNorm) with pow(a, -rooflineNorm) already in
- * hand: the identical operation sequence as util's smoothMin (the two
- * pow() inputs and the sum are the same doubles), so the result is
- * bit-identical whether @p pow_a was just computed or cached.
- */
-inline double
-smoothMinPre(double pow_a, double b)
-{
-    return std::pow(pow_a + rooflinePow(b), -1.0 / rooflineNorm);
-}
-
-/**
- * Composite: one full performance evaluation from precomputed
- * reusable terms. peak, compute_rate, pow_compute, and usable_gbs
- * must have been produced by peakFlops/computeRate/rooflinePow/
- * usableBandwidthGbs for the same (cus, freq_ghz, bw_tbs, k) —
- * possibly served from a term cache, which is bit-identical by
- * construction.
- *
- * The statement order mirrors PerfModel::evaluate() exactly.
+ * One full performance evaluation. The statement order is the model's
+ * reference operation sequence; the roofline is util's smoothMin with
+ * the rooflineNorm p-norm.
  */
 inline PerfResult
-evaluatePerfPre(int cus, double freq_ghz, double bw_tbs,
-                const KernelProfile &k, double peak, double compute_rate,
-                double pow_compute, double usable_gbs)
+evaluatePerf(int cus, double freq_ghz, double bw_tbs,
+             const KernelProfile &k)
 {
     PerfResult r;
-    r.peakFlops = peak;
+    r.peakFlops = peakFlops(cus, freq_ghz);
     r.opsPerByte = cus * freq_ghz / (bw_tbs * 1000.0);
-    r.computeRate = compute_rate;
+    r.computeRate = computeRate(r.peakFlops, k, cuScale(cus, k),
+                                freqScale(freq_ghz, k));
 
-    double eff_bw = contendedBandwidthGbs(cus, freq_ghz, usable_gbs, k);
+    double usable = usableBandwidthGbs(bw_tbs, k);
+    double eff_bw = contendedBandwidthGbs(cus, freq_ghz, usable, k);
     r.memoryRate = memoryRate(eff_bw, k);
 
-    r.flops = smoothMinPre(pow_compute, r.memoryRate);
+    r.flops = smoothMin(r.computeRate, r.memoryRate, rooflineNorm);
     r.memoryBound = r.memoryRate < r.computeRate;
     r.trafficGbs = achievedTrafficGbs(r.flops, bw_tbs, k);
     r.activity = makeActivity(bw_tbs, k, r.flops, r.peakFlops);
     return r;
-}
-
-/** Same, deriving the (cus, freq)-only factors inline. */
-inline PerfResult
-evaluatePerf(int cus, double freq_ghz, double bw_tbs,
-             const KernelProfile &k, double cu_scale, double f_scale,
-             double usable_gbs)
-{
-    double peak = peakFlops(cus, freq_ghz);
-    double compute_rate = computeRate(peak, k, cu_scale, f_scale);
-    return evaluatePerfPre(cus, freq_ghz, bw_tbs, k, peak, compute_rate,
-                           rooflinePow(compute_rate), usable_gbs);
 }
 
 } // namespace perf_terms

@@ -25,28 +25,23 @@ ReconfigGovernor::evaluateSetting(App app, int cus, double f) const
 GovernorDecision
 ReconfigGovernor::decide(App app) const
 {
-    // Batch the whole (CU gating x DVFS) candidate grid; the governor
-    // memo makes repeated phases of the same kernel near-free. The
-    // argmax runs in the original enumeration order (cus outer, freq
-    // inner, strict greater-than), so decisions are unchanged.
-    NodeConfigBatch b;
-    b.base = params_.installed;
+    // Scan the (CU gating x DVFS) candidate grid in its enumeration
+    // order (cus outer, freq inner, strict greater-than), so ties keep
+    // the first setting found.
+    GovernorDecision best;
     for (int cus = params_.cuStep; cus <= params_.installed.cus;
          cus += params_.cuStep) {
-        for (double f : params_.freqsGhz)
-            b.push(cus, f, params_.installed.bwTbs);
-    }
-    BatchEvalResult r = eval_.evaluateBatch(b, app, &memo_);
-
-    GovernorDecision best;
-    for (std::size_t i = 0; i < b.size(); ++i) {
-        if (r.budgetPowerW[i] > params_.budgetW)
-            continue;
-        if (r.flops[i] > best.flops) {
-            best.activeCus = b.cus[i];
-            best.freqGhz = b.freqsGhz[i];
-            best.flops = r.flops[i];
-            best.budgetPowerW = r.budgetPowerW[i];
+        for (double f : params_.freqsGhz) {
+            EvalResult r = evaluateSetting(app, cus, f);
+            const double budget = r.power.budgetPower();
+            if (budget > params_.budgetW)
+                continue;
+            if (r.perf.flops > best.flops) {
+                best.activeCus = cus;
+                best.freqGhz = f;
+                best.flops = r.perf.flops;
+                best.budgetPowerW = budget;
+            }
         }
     }
     if (best.activeCus == 0)
@@ -69,10 +64,8 @@ ReconfigGovernor::run(const std::vector<Phase> &phases) const
         ENA_ASSERT(ph.seconds > 0.0, "phase needs positive duration");
         total_time += ph.seconds;
 
-        // Static: installed hardware at its nominal settings (memoized
-        // — every phase of the same kernel reuses the first result).
-        EvalResult st = eval_.evaluateMemo(params_.installed, ph.app,
-                                           memo_);
+        // Static: installed hardware at its nominal settings.
+        EvalResult st = eval_.evaluate(params_.installed, ph.app);
         s.staticWork += st.perf.flops * ph.seconds;
         static_energy += st.power.budgetPower() * ph.seconds;
 

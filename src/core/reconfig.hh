@@ -19,7 +19,6 @@
 
 #include <vector>
 
-#include "core/eval_memo.hh"
 #include "core/node_evaluator.hh"
 #include "workloads/kernel_profile.hh"
 
@@ -85,8 +84,6 @@ class ReconfigGovernor
 
     const NodeEvaluator &eval_;
     GovernorParams params_;
-    /** Dedupes per-phase decide() sweeps across repeated kernels. */
-    mutable EvalMemoCache memo_;
 };
 
 } // namespace ena

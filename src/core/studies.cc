@@ -25,28 +25,18 @@ std::vector<OpbCurve>
 OpbSweepStudy::sweepFrequency(App app, const std::vector<double> &bws,
                               const std::vector<double> &freqs) const
 {
-    // One batch over the flattened (bw, freq) cross product; the whole
-    // sweep shares this study's memo cache, so the base config and any
-    // repeated (knob, app) pairs are never re-evaluated.
-    double base = eval_.evaluateMemo(bestMean_, app, memo_).perf.flops;
-    const std::size_t nf = freqs.size();
-    NodeConfigBatch b;
-    b.base = bestMean_;
-    b.reserve(bws.size() * nf);
-    for (std::size_t i = 0; i < bws.size() * nf; ++i)
-        b.push(bestMean_.cus, freqs[i % nf], bws[i / nf]);
-    BatchEvalResult r = eval_.evaluateBatch(b, app, &memo_);
-
+    double base = eval_.evaluate(bestMean_, app).perf.flops;
     std::vector<OpbCurve> curves(bws.size());
     for (std::size_t c = 0; c < bws.size(); ++c) {
         curves[c].bwTbs = bws[c];
-        curves[c].points.resize(nf);
-        for (std::size_t f = 0; f < nf; ++f) {
-            std::size_t i = c * nf + f;
-            OpbPoint &p = curves[c].points[f];
-            p.cfg = b.at(i);
+        for (double f : freqs) {
+            OpbPoint p;
+            p.cfg = bestMean_;
+            p.cfg.freqGhz = f;
+            p.cfg.bwTbs = bws[c];
             p.opsPerByte = p.cfg.opsPerByte();
-            p.normPerf = r.flops[i] / base;
+            p.normPerf = eval_.evaluate(p.cfg, app).perf.flops / base;
+            curves[c].points.push_back(p);
         }
     }
     return curves;
@@ -56,25 +46,18 @@ std::vector<OpbCurve>
 OpbSweepStudy::sweepCuCount(App app, const std::vector<double> &bws,
                             const std::vector<int> &cus) const
 {
-    double base = eval_.evaluateMemo(bestMean_, app, memo_).perf.flops;
-    const std::size_t nc = cus.size();
-    NodeConfigBatch b;
-    b.base = bestMean_;
-    b.reserve(bws.size() * nc);
-    for (std::size_t i = 0; i < bws.size() * nc; ++i)
-        b.push(cus[i % nc], bestMean_.freqGhz, bws[i / nc]);
-    BatchEvalResult r = eval_.evaluateBatch(b, app, &memo_);
-
+    double base = eval_.evaluate(bestMean_, app).perf.flops;
     std::vector<OpbCurve> curves(bws.size());
     for (std::size_t c = 0; c < bws.size(); ++c) {
         curves[c].bwTbs = bws[c];
-        curves[c].points.resize(nc);
-        for (std::size_t u = 0; u < nc; ++u) {
-            std::size_t i = c * nc + u;
-            OpbPoint &p = curves[c].points[u];
-            p.cfg = b.at(i);
+        for (int cu : cus) {
+            OpbPoint p;
+            p.cfg = bestMean_;
+            p.cfg.cus = cu;
+            p.cfg.bwTbs = bws[c];
             p.opsPerByte = p.cfg.opsPerByte();
-            p.normPerf = r.flops[i] / base;
+            p.normPerf = eval_.evaluate(p.cfg, app).perf.flops / base;
+            curves[c].points.push_back(p);
         }
     }
     return curves;
@@ -196,35 +179,28 @@ ExascaleProjector::ExascaleProjector(const NodeEvaluator &eval, int nodes)
 double
 ExascaleProjector::systemExaflops(const NodeConfig &cfg, App app) const
 {
-    // The memo dedupes repeated projections of the same (cfg, app) —
-    // cluster sweeps project every topology cell from one node config.
-    return systemExaflops(eval_.evaluateMemo(cfg, app, memo_));
+    return systemExaflops(eval_.evaluate(cfg, app));
 }
 
 double
 ExascaleProjector::systemMw(const NodeConfig &cfg, App app) const
 {
-    return systemMw(eval_.evaluateMemo(cfg, app, memo_));
+    return systemMw(eval_.evaluate(cfg, app));
 }
 
 std::vector<ExascalePoint>
 ExascaleProjector::sweepCus(const std::vector<int> &cus) const
 {
-    NodeConfig base;
-    base.freqGhz = 1.0;
-    base.bwTbs = 1.0;
-    NodeConfigBatch b;
-    b.base = base;
-    b.reserve(cus.size());
-    for (int c : cus)
-        b.push(c, base.freqGhz, base.bwTbs);
-    BatchEvalResult r = eval_.evaluateBatch(b, App::MaxFlops, &memo_);
-
     std::vector<ExascalePoint> out(cus.size());
     for (std::size_t i = 0; i < cus.size(); ++i) {
+        NodeConfig cfg;
+        cfg.cus = cus[i];
+        cfg.freqGhz = 1.0;
+        cfg.bwTbs = 1.0;
+        EvalResult r = eval_.evaluate(cfg, App::MaxFlops);
         out[i].cus = cus[i];
-        out[i].systemExaflops = r.flops[i] * nodes_ / 1e18;
-        out[i].systemMw = r.packagePowerW[i] * nodes_ / 1e6;
+        out[i].systemExaflops = systemExaflops(r);
+        out[i].systemMw = systemMw(r);
     }
     return out;
 }

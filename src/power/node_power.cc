@@ -51,18 +51,7 @@ NodePowerModel::evaluate(const NodeConfig &cfg, const Activity &act) const
 {
     cfg.validate();
 
-    // The whole evaluation lives in power_terms::evaluatePower so the
-    // batch path (core/eval_batch.cc) runs the identical operation
-    // sequence; the VF scales and the static terms are precomputed
-    // here exactly as the batch path's term caches would.
-    power_terms::VfScales vf =
-        power_terms::vfScales(vf_, cfg.freqGhz, cfg.opts.ntc);
-    double hbm_static =
-        power_terms::hbmStaticW(cfg.bwTbs, cfg.gpuChiplets);
-    power_terms::ExtStatic ext_static = power_terms::extStaticW(cfg.ext);
-    return power_terms::evaluatePower(cfg.cus, cfg.freqGhz, cfg.opts,
-                                      cfg.ext, act, vf, hbm_static,
-                                      ext_static);
+    return power_terms::evaluatePower(cfg, vf_, act);
 }
 
 } // namespace ena

@@ -95,8 +95,6 @@ class NodePowerModel
     PowerBreakdown evaluate(const NodeConfig &cfg,
                             const Activity &act) const;
 
-    const VfCurve &vfCurve() const { return vf_; }
-
   private:
     VfCurve vf_;
 };

@@ -1,15 +1,14 @@
 /**
  * @file
- * The node power model's arithmetic, factored into inline term
- * functions shared verbatim by the scalar oracle
- * (NodePowerModel::evaluate) and the batch evaluator — the power-side
- * twin of core/perf_terms.hh, with the same bit-identity contract:
- * both paths run the same IEEE-754 operation sequence, and each term's
- * parameter list names the NodeConfig fields it reads (its content
- * address for memoization).
+ * The node power model's arithmetic as inline term functions, called
+ * by NodePowerModel::evaluate — the power-side twin of
+ * core/perf_terms.hh. Each term's parameter list names the NodeConfig
+ * fields it reads, which is also its content address in the memo
+ * cache (core/eval_memo.hh).
  *
- * Do not reorder or reassociate the expressions here; the batch-vs-
- * scalar bit-identity gate depends on the exact rounding sequence.
+ * Do not reorder or reassociate the expressions here; the EXPERIMENTS
+ * anchors and the bitwise serial/parallel/server gates depend on the
+ * exact rounding sequence.
  */
 
 #ifndef ENA_POWER_POWER_TERMS_HH
@@ -64,20 +63,17 @@ extStaticW(const ExtMemConfig &ext)
             cal::serdesLinkStaticW * ext.totalModules()};
 }
 
-/**
- * Composite: one full power evaluation from precomputed reusable
- * terms. vf, hbm_static, and ext_static must have been produced by
- * vfScales/hbmStaticW/extStaticW for the same config fields —
- * possibly served from a term cache (bit-identical by construction).
- *
- * The statement order mirrors NodePowerModel::evaluate() exactly.
- */
+/** One full power evaluation of @p cfg at activity @p act. */
 inline PowerBreakdown
-evaluatePower(int cus, double freq_ghz, const PowerOptConfig &opt,
-              const ExtMemConfig &ext, const Activity &act,
-              const VfScales &vf, double hbm_static,
-              const ExtStatic &ext_static)
+evaluatePower(const NodeConfig &cfg, const VfCurve &vf_curve,
+              const Activity &act)
 {
+    const int cus = cfg.cus;
+    const double freq_ghz = cfg.freqGhz;
+    const PowerOptConfig &opt = cfg.opts;
+    const ExtMemConfig &ext = cfg.ext;
+    const VfScales vf = vfScales(vf_curve, freq_ghz, opt.ntc);
+    const ExtStatic ext_static = extStaticW(ext);
     PowerBreakdown p;
 
     // ---- GPU compute units ------------------------------------------
@@ -118,7 +114,7 @@ evaluatePower(int cus, double freq_ghz, const PowerOptConfig &opt,
     }
     p.hbmDyn = units::powerFromEventRate(hbm_traffic * units::giga,
                                          cal::hbmPjPerByte);
-    p.hbmStatic = hbm_static;
+    p.hbmStatic = hbmStaticW(cfg.bwTbs, cfg.gpuChiplets);
 
     // ---- CPU cluster + system ----------------------------------------
     p.cpu = cal::cpuStaticW + cal::cpuMaxDynW * act.cpuActivity;

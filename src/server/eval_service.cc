@@ -1,6 +1,5 @@
 #include "server/eval_service.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 
@@ -15,6 +14,7 @@
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
 #include "util/config.hh"
+#include "util/stats_math.hh"
 #include "util/thread_pool.hh"
 
 namespace ena {
@@ -37,15 +37,6 @@ errorsCounter()
     static telemetry::Counter &c = telemetry::counter(
         "server.errors", "requests answered with an error response");
     return c;
-}
-
-telemetry::Histogram &
-batchSizeHistogram()
-{
-    static telemetry::Histogram &h = telemetry::histogram(
-        "server.batch_size", "points per NodeConfigBatch on the server",
-        1.0, 2.0, 16);
-    return h;
 }
 
 /** Parse the "config" parameter (config-text) into a Config. */
@@ -97,18 +88,6 @@ nodeConfigJson(const NodeConfig &cfg)
     o.set("bw_tbs", cfg.bwTbs);
     o.set("label", cfg.label());
     return o;
-}
-
-/** dse.cc's chunking heuristic: big enough batches, bounded tail. */
-std::size_t
-batchChunkSize(std::size_t n, int threads)
-{
-    std::size_t per = n / (static_cast<std::size_t>(threads) * 4 + 1);
-    if (per < 32)
-        per = 32;
-    if (per > 4096)
-        per = 4096;
-    return per;
 }
 
 Expected<CommSpec>
@@ -324,23 +303,14 @@ EvalService::opSweep(const wire::JsonValue &req)
         return Status::invalidArgument("bad axis '", axis,
                                        "' (want cus | freq | bw)");
     }
-    if (!(step > 0.0) || !std::isfinite(from) || !std::isfinite(to) ||
-        to < from)
-        return Status::outOfRange("bad sweep range [", from, ", ", to,
-                                  "] step ", step);
+    // sweep_tool's axis enumeration, so a server-side sweep reproduces
+    // the local CLI point-for-point.
+    ENA_ASSIGN_OR_RETURN(std::vector<double> values,
+                         trySweepAxisValues(from, to, step));
 
     ENA_ASSIGN_OR_RETURN(Config cfgText, configFromRequest(req));
     ENA_ASSIGN_OR_RETURN(NodeConfig base,
                          tryNodeConfigFromConfig(cfgText));
-
-    // Exactly sweep_tool's axis enumeration, so a server-side sweep
-    // reproduces the local CLI point-for-point.
-    std::vector<double> values;
-    for (double v = from; v <= to + 1e-9; v += step)
-        values.push_back(v);
-    if (values.size() > 1000000)
-        return Status::outOfRange("sweep too large (", values.size(),
-                                  " points)");
 
     std::vector<NodeConfig> configs(values.size());
     for (std::size_t i = 0; i < values.size(); ++i) {
@@ -357,33 +327,15 @@ EvalService::opSweep(const wire::JsonValue &req)
         configs[i] = cfg;
     }
 
-    // Coalesce points into NodeConfigBatch chunks on the shared pool:
-    // evaluateBatch warms the process-wide memo with the full
-    // per-point results, then the scalar memo path assembles them (all
-    // hits, bit-identical to evaluate() by construction). Chunk tasks
-    // are where ENA_FAULT_INJECT strikes; the pool's retry policy
+    // One pool task per point through the process-wide memo. Pool
+    // tasks are where ENA_FAULT_INJECT strikes; the pool's retry policy
     // absorbs transient faults without perturbing results.
     EvalMemoCache &memo = EvalMemoCache::sharedInstance();
     const std::size_t n = values.size();
-    const std::size_t chunk =
-        batchChunkSize(n, ThreadPool::global().threads());
-    const std::size_t chunks = (n + chunk - 1) / chunk;
-    std::vector<EvalResult> results(n);
-    parallel_for(chunks, [&](std::size_t c) {
-        const std::size_t lo = c * chunk;
-        const std::size_t hi = std::min(n, lo + chunk);
-        NodeConfigBatch batch;
-        batch.base = base;
-        batch.reserve(hi - lo);
-        for (std::size_t i = lo; i < hi; ++i) {
-            batch.push(configs[i].cus, configs[i].freqGhz,
-                       configs[i].bwTbs);
-        }
-        batchSizeHistogram().sample(static_cast<double>(batch.size()));
-        eval_.evaluateBatch(batch, app, &memo);
-        for (std::size_t i = lo; i < hi; ++i)
-            results[i] = eval_.evaluateMemo(configs[i], app, memo);
-    });
+    std::vector<EvalResult> results = parallel_map(
+        n, [&](std::size_t i) {
+            return eval_.evaluateMemo(configs[i], app, memo);
+        });
 
     JsonValue points = JsonValue::array();
     for (std::size_t i = 0; i < n; ++i) {
@@ -476,7 +428,6 @@ EvalService::opClusterEval(const wire::JsonValue &req)
     ENA_ASSIGN_OR_RETURN(CommSpec spec, commSpecFromRequest(req));
 
     ClusterEvaluator ce(eval_, cluster);
-    ce.setMemoCache(&EvalMemoCache::sharedInstance());
     ClusterResult r = ce.evaluate(node, app, spec);
     return clusterResultJson(r);
 }
@@ -495,7 +446,6 @@ EvalService::opResilientEval(const wire::JsonValue &req)
     ENA_ASSIGN_OR_RETURN(CommSpec comm, commSpecFromRequest(req));
 
     ClusterEvaluator ce(eval_, cluster);
-    ce.setMemoCache(&EvalMemoCache::sharedInstance());
     ResilientClusterEvaluator rce(ce, spec);
     ResilientResult r = rce.evaluate(node, app, comm);
 
@@ -534,10 +484,7 @@ EvalService::opTaskGraphEval(const wire::JsonValue &req)
     TaskDag dag = spec.build();
     ENA_TRY(dag.tryValidate());
     InterNodeNetwork net(cluster);
-    // Same memo path as every other op: node evaluations land in (and
-    // come from) the process-wide cache, bit-identical to local runs.
-    DagCostModel cost = DagCostModel::build(
-        dag, eval_, node, net, &EvalMemoCache::sharedInstance());
+    DagCostModel cost = DagCostModel::build(dag, eval_, node, net);
     Schedule s = scheduleDag(dag, cost, policy, cluster.nodes);
 
     JsonValue o = JsonValue::object();

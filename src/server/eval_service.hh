@@ -21,11 +21,11 @@
  *
  * Error discipline: every failure crosses this boundary as an
  * ena::Status mapped to a structured error response — handle() never
- * throws and never calls a fatal path. Evaluations run on the shared
- * ThreadPool through the process-wide EvalMemoCache
- * (EvalMemoCache::sharedInstance()), so identical grid points across
- * any mix of clients evaluate once and results are bit-identical to
- * in-process evaluation by construction.
+ * throws and never calls a fatal path. eval_node and sweep score
+ * through the process-wide EvalMemoCache
+ * (EvalMemoCache::sharedInstance()), sweep one ThreadPool task per
+ * point; the other ops evaluate directly. Either way results are
+ * bit-identical to in-process evaluation by construction.
  *
  * Thread safety: handle()/handleLine() may be called concurrently from
  * any number of worker threads.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/eval_memo.hh"
 #include "telemetry/telemetry.hh"
 #include "util/logging.hh"
 
@@ -24,13 +23,12 @@ ResilientSchedule
 ResilientDagScheduler::evaluate(const TaskDag &dag, const NodeConfig &cfg,
                                 const InterNodeNetwork &net,
                                 DagScheduler policy, int nodes,
-                                int spare_nodes,
-                                EvalMemoCache *memo) const
+                                int spare_nodes) const
 {
     ENA_ASSERT(spare_nodes >= 0, "negative spare pool ", spare_nodes);
     ENA_SPAN("taskgraph", "ResilientDagScheduler::evaluate");
 
-    DagCostModel cost = DagCostModel::build(dag, eval_, cfg, net, memo);
+    DagCostModel cost = DagCostModel::build(dag, eval_, cfg, net);
 
     ResilientSchedule r;
     r.spareNodes = spare_nodes;
@@ -46,9 +44,7 @@ ResilientDagScheduler::evaluate(const TaskDag &dag, const NodeConfig &cfg,
         for (const DagTask &t : dag.tasks()) {
             const std::size_t a = static_cast<std::size_t>(t.app);
             if (!known[a]) {
-                EvalResult er = memo
-                                    ? eval_.evaluateMemo(cfg, t.app, *memo)
-                                    : eval_.evaluate(cfg, t.app);
+                EvalResult er = eval_.evaluate(cfg, t.app);
                 slowdown[a] =
                     rmt_.evaluate(er.perf.activity, spec_.rmtPolicy)
                         .slowdown;

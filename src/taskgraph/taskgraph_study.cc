@@ -79,7 +79,7 @@ TaskGraphStudy::sweep(const TaskDag &dag, const NodeConfig &cfg,
             try {
                 InterNodeNetwork net(cc);
                 DagCostModel cost =
-                    DagCostModel::build(dag, eval_, cfg, net, &memo_);
+                    DagCostModel::build(dag, eval_, cfg, net);
                 Schedule s = scheduleDag(dag, cost,
                                          schedulers[p.scheduler], p.nodes);
                 p.makespanSeconds = s.makespanSeconds;
@@ -132,7 +132,7 @@ TaskGraphStudy::jobMix(const std::vector<TaskDag> &dags,
             JobInterference j;
             j.dag = dags[i].label();
             DagCostModel alone =
-                DagCostModel::build(dags[i], eval_, cfg, net, &memo_);
+                DagCostModel::build(dags[i], eval_, cfg, net);
             j.aloneSeconds =
                 scheduleDag(dags[i], alone, policy, r.nodesPerJob)
                     .makespanSeconds;

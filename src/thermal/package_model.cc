@@ -9,6 +9,26 @@
 
 namespace ena {
 
+namespace {
+
+/** Solve @p grid, recording its iterations in the thermal counters. */
+int
+solveCounted(ThermalGrid &grid)
+{
+    static telemetry::Counter &iters = telemetry::counter(
+        "thermal.solver_iterations",
+        "SOR iterations summed over all package thermal solves");
+    static telemetry::Histogram &iters_hist = telemetry::histogram(
+        "thermal.solver_iterations_per_solve",
+        "SOR iterations needed by one package solve", 1.0, 2.0, 20);
+    const int n = grid.solve();
+    iters.add(static_cast<std::uint64_t>(n));
+    iters_hist.sample(static_cast<double>(n));
+    return n;
+}
+
+} // anonymous namespace
+
 EhpPackageModel::EhpPackageModel(PackageThermalParams params)
     : params_(params)
 {
@@ -113,16 +133,7 @@ EhpPackageModel::solve(const NodeConfig &cfg,
     ENA_SPAN("thermal", "solve_package");
     ThermalGrid grid = buildGrid(cfg, power);
     PackageThermalResult r;
-    r.solverIterations = grid.solve();
-
-    static telemetry::Counter &iters = telemetry::counter(
-        "thermal.solver_iterations",
-        "SOR iterations summed over all package thermal solves");
-    iters.add(static_cast<std::uint64_t>(r.solverIterations));
-    static telemetry::Histogram &iters_hist = telemetry::histogram(
-        "thermal.solver_iterations_per_solve",
-        "SOR iterations needed by one package solve", 1.0, 2.0, 20);
-    iters_hist.sample(static_cast<double>(r.solverIterations));
+    r.solverIterations = solveCounted(grid);
 
     r.peakBottomDramC = grid.peak("dram0");
     r.peakGpuC = grid.peak("gpu");
@@ -143,7 +154,7 @@ EhpPackageModel::heatMap(const NodeConfig &cfg,
                          const PowerBreakdown &power) const
 {
     ThermalGrid grid = buildGrid(cfg, power);
-    grid.solve();
+    solveCounted(grid);
     return grid.asciiHeatMap("dram0");
 }
 

@@ -1,13 +1,13 @@
 /**
  * @file
- * Small helpers for content-addressed memoization of pure evaluation
- * terms (see core/eval_memo.hh and core/eval_batch.cc).
+ * Small helpers for content-addressed memoization of pure evaluations
+ * (see core/eval_memo.hh).
  *
- * Keys are built from the *raw bit patterns* of the inputs a term
+ * Keys are built from the *raw bit patterns* of the inputs a model
  * actually reads, never from rounded or hashed values, so a cache hit
- * is guaranteed to return the exact double the term function would
- * have produced — the bit-identity contract of the batch evaluator
- * rests on exact keys, not probabilistic ones.
+ * is guaranteed to return the exact double recomputation would have
+ * produced — memoized results are bit-identical because the keys are
+ * exact, not probabilistic.
  */
 
 #ifndef ENA_UTIL_MEMO_HH
@@ -15,7 +15,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <vector>
 
 namespace ena {
 
@@ -42,84 +41,6 @@ memoHash(std::uint64_t h, std::uint64_t w)
 {
     return memoMix(h ^ memoMix(w));
 }
-
-/**
- * Exact-keyed open-addressed map from a 64-bit key to one double,
- * sized for per-batch term caches whose key cardinality is the axis
- * cardinality of a sweep (a handful to a few hundred entries).
- *
- * Keys are compared exactly (the hash only picks the probe start), so
- * two distinct inputs can never alias. Single-threaded by design: each
- * batch evaluation owns its term caches, so no locking is needed.
- */
-class TermCache
-{
-  public:
-    explicit TermCache(std::size_t initial_slots = 64)
-    {
-        slots_.resize(roundUpPow2(initial_slots));
-    }
-
-    /**
-     * Return the cached value for @p key, or compute it with @p fn,
-     * remember it, and return it.
-     */
-    template <typename Fn>
-    double
-    getOrCompute(std::uint64_t key, Fn &&fn)
-    {
-        std::size_t mask = slots_.size() - 1;
-        std::size_t i = memoMix(key) & mask;
-        while (slots_[i].used) {
-            if (slots_[i].key == key)
-                return slots_[i].value;
-            i = (i + 1) & mask;
-        }
-        double v = fn();
-        slots_[i] = Slot{key, v, true};
-        if (++size_ * 4 >= slots_.size() * 3)
-            grow();
-        return v;
-    }
-
-    std::size_t size() const { return size_; }
-
-  private:
-    struct Slot
-    {
-        std::uint64_t key = 0;
-        double value = 0.0;
-        bool used = false;
-    };
-
-    static std::size_t
-    roundUpPow2(std::size_t n)
-    {
-        std::size_t p = 16;
-        while (p < n)
-            p <<= 1;
-        return p;
-    }
-
-    void
-    grow()
-    {
-        std::vector<Slot> old = std::move(slots_);
-        slots_.assign(old.size() * 2, Slot{});
-        std::size_t mask = slots_.size() - 1;
-        for (const Slot &s : old) {
-            if (!s.used)
-                continue;
-            std::size_t i = memoMix(s.key) & mask;
-            while (slots_[i].used)
-                i = (i + 1) & mask;
-            slots_[i] = s;
-        }
-    }
-
-    std::vector<Slot> slots_;
-    std::size_t size_ = 0;
-};
 
 } // namespace ena
 

@@ -72,6 +72,24 @@ linspace(double lo, double hi, size_t n)
     return out;
 }
 
+Expected<std::vector<double>>
+trySweepAxisValues(double from, double to, double step)
+{
+    constexpr std::size_t maxSweepPoints = 1000000;
+    if (!(step > 0.0) || !std::isfinite(from) || !std::isfinite(to) ||
+        to < from)
+        return Status::outOfRange("bad sweep range [", from, ", ", to,
+                                  "] step ", step);
+    std::vector<double> values;
+    for (double v = from; v <= to + 1e-9; v += step) {
+        if (values.size() == maxSweepPoints)
+            return Status::outOfRange("sweep too large (more than ",
+                                      maxSweepPoints, " points)");
+        values.push_back(v);
+    }
+    return values;
+}
+
 double
 clamp(double v, double lo, double hi)
 {

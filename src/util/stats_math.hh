@@ -11,6 +11,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "util/status.hh"
+
 namespace ena {
 
 /** Arithmetic mean; fatal() on empty input. */
@@ -32,6 +34,18 @@ double percentile(std::vector<double> xs, double p);
 
 /** @p n evenly spaced points from @p lo to @p hi inclusive (n >= 2). */
 std::vector<double> linspace(double lo, double hi, size_t n);
+
+/**
+ * The values of a parameter-sweep axis: from, from + step, ... while
+ * v <= to + 1e-9, accumulated as v += step (sweep_tool's and the
+ * server's shared enumeration, so both emit the same values).
+ * out_of_range for a non-positive step, non-finite bounds, to < from,
+ * or more than 1e6 values; the count is checked as values are
+ * produced, so a step too small to advance v fails instead of filling
+ * memory.
+ */
+Expected<std::vector<double>> trySweepAxisValues(double from, double to,
+                                                 double step);
 
 /** Clamp @p v into [lo, hi]. */
 double clamp(double v, double lo, double hi);

@@ -66,6 +66,24 @@ TEST(ClusterConfigDeathTest, ValidateCatchesNonsense)
                 "taper must be >= 1");
 }
 
+TEST(ClusterConfig, TorusDimsMustBeAllExplicitOrAllAutoAndFitTheNodes)
+{
+    ClusterConfig c;
+    c.topology = ClusterTopology::Torus3D;
+    c.nodes = 1000;
+    EXPECT_TRUE(c.tryValidate().ok());   // all auto
+    c.torusX = 7;
+    EXPECT_EQ(c.tryValidate().code(), ErrorCode::InvalidArgument);
+    c.torusY = c.torusZ = 7;
+    EXPECT_EQ(c.tryValidate().code(), ErrorCode::InvalidArgument);
+    c.torusX = c.torusY = c.torusZ = 10;
+    EXPECT_TRUE(c.tryValidate().ok());
+    // Other topologies ignore the torus knobs.
+    c.topology = ClusterTopology::FatTree;
+    c.torusX = 7;
+    EXPECT_TRUE(c.tryValidate().ok());
+}
+
 TEST(ClusterConfigIo, RoundTripsThroughConfig)
 {
     ClusterConfig c;

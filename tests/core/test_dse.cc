@@ -60,6 +60,10 @@ TEST(Dse, SweepEnumeratesWholeGrid)
         EXPECT_GT(p.meanBudgetPowerW, 0.0);
         EXPECT_GE(p.maxBudgetPowerW, p.meanBudgetPowerW);
         EXPECT_EQ(p.feasible, p.maxBudgetPowerW <= 160.0);
+        // The memoized sweep scores exactly as the scalar helpers do.
+        EXPECT_EQ(p.geomeanFlops, evaluator().geomeanFlops(p.cfg));
+        EXPECT_EQ(p.meanBudgetPowerW, evaluator().meanBudgetPower(p.cfg));
+        EXPECT_EQ(p.maxBudgetPowerW, evaluator().maxBudgetPower(p.cfg));
     }
 }
 

@@ -332,6 +332,57 @@ TEST(EvalService, SweepRejectsBadAxisAndRange)
     EXPECT_EQ(resp.find("error")->find("code")->str(), "out_of_range");
 }
 
+TEST(EvalService, SweepWithAStepThatNeverAdvancesIsAnError)
+{
+    // 1 + 1e-300 == 1: the enumeration would never reach TO. It must
+    // stop at the point cap with a structured error, not fill memory.
+    EvalService svc;
+    JsonValue req = request("sweep");
+    req.set("app", "xsbench");
+    req.set("axis", "bw");
+    req.set("from", 1.0);
+    req.set("to", 7.0);
+    req.set("step", 1e-300);
+    JsonValue resp = svc.handle(req);
+    EXPECT_FALSE(resp.find("ok")->boolean());
+    EXPECT_EQ(resp.find("error")->find("code")->str(), "out_of_range");
+}
+
+TEST(EvalService, PartlyExplicitTorusIsAnErrorAndTheServiceAnswersOn)
+{
+    // A 3d-torus with one explicit dimension (the others auto) used to
+    // pass validation and then kill the process inside the network
+    // model; so did explicit dimensions whose product is not the node
+    // count.
+    EvalService svc;
+    JsonValue req = request("cluster_eval");
+    req.set("app", "lulesh");
+    req.set("config", "cluster.nodes = 1000\n"
+                      "cluster.topology = 3d-torus\n"
+                      "cluster.torus_x = 7\n");
+    JsonValue resp = svc.handle(req);
+    EXPECT_FALSE(resp.find("ok")->boolean());
+    EXPECT_EQ(resp.find("error")->find("code")->str(), "invalid_argument");
+
+    req.set("config", "cluster.nodes = 1000\n"
+                      "cluster.topology = 3d-torus\n"
+                      "cluster.torus_x = 7\n"
+                      "cluster.torus_y = 7\n"
+                      "cluster.torus_z = 7\n");
+    resp = svc.handle(req);
+    EXPECT_FALSE(resp.find("ok")->boolean());
+    EXPECT_EQ(resp.find("error")->find("code")->str(), "invalid_argument");
+
+    req.set("config", "cluster.nodes = 1000\n"
+                      "cluster.topology = 3d-torus\n"
+                      "cluster.torus_x = 10\n"
+                      "cluster.torus_y = 10\n"
+                      "cluster.torus_z = 10\n");
+    resp = svc.handle(req);
+    EXPECT_TRUE(resp.find("ok")->boolean()) << resp.dump();
+    EXPECT_EQ(svc.errorsReturned(), 2u);
+}
+
 TEST(EvalService, FaultInjectedSweepIsBitIdenticalToFaultFree)
 {
     // Every pool task faults on its first attempt; the retry policy

@@ -9,7 +9,6 @@
 
 #include <cstring>
 
-#include "core/eval_memo.hh"
 #include "taskgraph/scheduler.hh"
 
 using namespace ena;
@@ -79,20 +78,23 @@ TEST(DagCostModel, PricesTasksFromTheEvaluator)
 
 TEST(DagCostModel, MemoedBuildIsBitIdentical)
 {
+    // build() evaluates the node once per distinct app and reuses that
+    // result for every task of the app: each task must cost exactly
+    // what a fresh per-task evaluation gives, and a rebuild the same.
     NodeConfig cfg = NodeConfig::bestMean();
     TaskDag dag = TaskDag::randomLayered(5, 6, 0.4, 3, 32e9, 8e6,
                                          App::HPGMG);
-    EvalMemoCache memo;
-    DagCostModel plain =
+    DagCostModel cost =
         DagCostModel::build(dag, evaluator(), cfg, network());
-    DagCostModel memoed =
-        DagCostModel::build(dag, evaluator(), cfg, network(), &memo);
     DagCostModel again =
-        DagCostModel::build(dag, evaluator(), cfg, network(), &memo);
-    ASSERT_EQ(plain.taskSeconds.size(), memoed.taskSeconds.size());
-    for (std::size_t i = 0; i < plain.taskSeconds.size(); ++i) {
-        EXPECT_EQ(bits(plain.taskSeconds[i]), bits(memoed.taskSeconds[i]));
-        EXPECT_EQ(bits(plain.taskSeconds[i]), bits(again.taskSeconds[i]));
+        DagCostModel::build(dag, evaluator(), cfg, network());
+    ASSERT_EQ(cost.taskSeconds.size(), dag.size());
+    for (const DagTask &t : dag.tasks()) {
+        const double fresh =
+            t.flops / evaluator().evaluate(cfg, t.app).perf.flops;
+        EXPECT_EQ(bits(cost.taskSeconds[t.id]), bits(fresh));
+        EXPECT_EQ(bits(cost.taskSeconds[t.id]),
+                  bits(again.taskSeconds[t.id]));
     }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/node_evaluator.hh"
+#include "telemetry/metrics.hh"
 #include "thermal/package_model.hh"
 
 using namespace ena;
@@ -90,13 +91,26 @@ TEST(PackageModel, MaxFlopsDoesNotStressMemoryTemperature)
 TEST(PackageModel, HeatMapShowsTileContrast)
 {
     EhpPackageModel model;
-    std::string art = model.heatMap(
-        NodeConfig::bestMean(),
-        powerFor(App::SNAP, NodeConfig::bestMean()));
+    PowerBreakdown p = powerFor(App::SNAP, NodeConfig::bestMean());
+    // solve() on the same grid registers the thermal counters and
+    // gives the iteration count the heat map's solve must add.
+    auto r = model.solve(NodeConfig::bestMean(), p);
+    telemetry::Counter &iters =
+        telemetry::counter("thermal.solver_iterations");
+    telemetry::Histogram &per_solve =
+        telemetry::histogram("thermal.solver_iterations_per_solve");
+    const std::uint64_t iters0 = iters.value();
+    const std::uint64_t solves0 = per_solve.count();
+
+    std::string art = model.heatMap(NodeConfig::bestMean(), p);
     // The rendering uses the full glyph ramp: both a cool glyph and a
     // hot glyph must appear.
     EXPECT_NE(art.find('@'), std::string::npos);
     EXPECT_NE(art.find(' '), std::string::npos);
+
+    EXPECT_EQ(per_solve.count() - solves0, 1u);
+    EXPECT_EQ(iters.value() - iters0,
+              static_cast<std::uint64_t>(r.solverIterations));
 }
 
 TEST(PackageModel, HeatMapDimensionsMatchGrid)
