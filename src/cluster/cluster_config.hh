@@ -132,6 +132,19 @@ struct ClusterConfig
     /** Legacy flavor: fatal() on nonsense. */
     void validate() const { checkOrFatal(tryValidate()); }
 
+    /**
+     * This machine at @p n nodes. Explicit torus dims only fit the
+     * node count they were given for, so the copy derives them (auto).
+     */
+    ClusterConfig
+    withNodes(int n) const
+    {
+        ClusterConfig c = *this;
+        c.nodes = n;
+        c.torusX = c.torusY = c.torusZ = 0;
+        return c;
+    }
+
     /** Short "fat-tree x100000 @4x25GBps" label for tables. */
     std::string
     label() const

@@ -1,8 +1,6 @@
 #include "cluster/resilient_cluster.hh"
 
-#include <cstdlib>
 #include <limits>
-#include <sstream>
 
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
@@ -21,53 +19,6 @@ resilientEvalsCounter()
         "resilient.evaluations",
         "(config, app, comm, resilience spec) system evaluations");
     return c;
-}
-
-telemetry::Counter &
-failedCounter()
-{
-    static telemetry::Counter &c = telemetry::counter(
-        "sweep.configs_failed",
-        "grid points quarantined instead of evaluated");
-    return c;
-}
-
-/** Hexfloat journal payload; see encodeDsePoint in core/dse.cc. */
-std::string
-encodeResilientPoint(const ResilientSweepPoint &p)
-{
-    std::ostringstream os;
-    os << strformat("%a %a %a %a %a %a %a %a %d ", p.systemMttfHours,
-                    p.interruptionMttfHours, p.commEfficiency,
-                    p.ckptEfficiency, p.rmtSlowdown, p.systemExaflops,
-                    p.effectiveExaflops, p.systemMw, p.ok ? 1 : 0);
-    os << p.error;
-    return os.str();
-}
-
-bool
-decodeResilientPoint(const std::string &payload, ResilientSweepPoint *p)
-{
-    std::istringstream is(payload);
-    std::string f[8];
-    int ok = 0;
-    if (!(is >> f[0] >> f[1] >> f[2] >> f[3] >> f[4] >> f[5] >> f[6] >>
-          f[7] >> ok))
-        return false;
-    double *dst[8] = {&p->systemMttfHours, &p->interruptionMttfHours,
-                      &p->commEfficiency, &p->ckptEfficiency,
-                      &p->rmtSlowdown, &p->systemExaflops,
-                      &p->effectiveExaflops, &p->systemMw};
-    for (int i = 0; i < 8; ++i) {
-        char *end = nullptr;
-        *dst[i] = std::strtod(f[i].c_str(), &end);
-        if (end == f[i].c_str() || *end)
-            return false;
-    }
-    p->ok = ok != 0;
-    is.get();
-    std::getline(is, p->error);
-    return true;
 }
 
 } // anonymous namespace
@@ -181,74 +132,47 @@ ResilientScaleOutStudy::sweep(
     ENA_SPAN("resilient", "protection_sweep");
     const std::size_t nt = topologies.size();
     const std::size_t nn = node_counts.size();
-    return ThreadPool::global().parallelMap(
-        variants.size() * nt * nn, [&](std::size_t i) {
-            telemetry::ScopedSpan span("resilient", "evaluate_cell");
-            const std::size_t vi = i / (nt * nn);
-            ClusterConfig cc = base_;
-            cc.topology = topologies[(i / nn) % nt];
-            cc.nodes = node_counts[i % nn];
-            // Explicit torus dims only fit the base node count.
-            cc.torusX = cc.torusY = cc.torusZ = 0;
+    auto cluster_of = [&](const ResilientSweepPoint &p) {
+        ClusterConfig cc = base_.withNodes(p.nodes);
+        cc.topology = p.topology;
+        return cc;
+    };
+    return runSweep(
+        variants.size() * nt * nn, journal,
+        ResilientSweepPoint::journalFields(), "protection sweep",
+        [&](std::size_t i) {
             ResilientSweepPoint p;
-            p.variant = vi;
-            p.topology = cc.topology;
-            p.nodes = cc.nodes;
-
-            std::string key, payload;
-            if (journal) {
-                key = strformat("ras[%zu]:v%zu:%s:n%d:%s", i, vi,
-                                clusterTopologyName(cc.topology).c_str(),
-                                cc.nodes, cfg.label().c_str());
-                if (journal->lookup(key, &payload)) {
-                    ResilientSweepPoint j = p;
-                    if (decodeResilientPoint(payload, &j))
-                        return j;
-                    warn("sweep journal: undecodable payload for '",
-                         key, "'; recomputing");
-                }
-            }
-
-            Status valid = cc.tryValidate();
+            p.variant = i / (nt * nn);
+            p.topology = topologies[(i / nn) % nt];
+            p.nodes = node_counts[i % nn];
+            return p;
+        },
+        [&](std::size_t i, const ResilientSweepPoint &p) {
+            return strformat("ras[%zu]:v%zu:%s:n%d:%s", i, p.variant,
+                             clusterTopologyName(p.topology).c_str(),
+                             p.nodes, cfg.label().c_str());
+        },
+        [&](std::size_t, const ResilientSweepPoint &p) {
+            Status valid = cluster_of(p).tryValidate();
             if (valid.ok())
                 valid = cfg.tryValidate();
             if (valid.ok())
-                valid = variants[vi].spec.tryValidate();
-            if (!valid.ok()) {
-                p.ok = false;
-                p.error = valid.toString();
-                failedCounter().add();
-                warn("protection sweep: quarantined cell ", i, ": ",
-                     p.error);
-            } else {
-                try {
-                    ClusterEvaluator ce(eval_, cc);
-                    ResilientClusterEvaluator rce(ce, variants[vi].spec);
-                    ResilientResult r = rce.evaluate(cfg, app, comm);
-                    p.systemMttfHours = r.systemMttfHours;
-                    p.interruptionMttfHours = r.interruptionMttfHours;
-                    p.commEfficiency = r.cluster.commEfficiency;
-                    p.ckptEfficiency = r.ckptEfficiency;
-                    p.rmtSlowdown = r.rmtSlowdown;
-                    p.systemExaflops = r.cluster.systemExaflops;
-                    p.effectiveExaflops = r.effectiveExaflops;
-                    p.systemMw = r.systemMw;
-                } catch (const std::exception &e) {
-                    p = ResilientSweepPoint{};
-                    p.variant = vi;
-                    p.topology = cc.topology;
-                    p.nodes = cc.nodes;
-                    p.ok = false;
-                    p.error = e.what();
-                    failedCounter().add();
-                    warn("protection sweep: quarantined cell ", i, ": ",
-                         p.error);
-                }
-            }
-
-            if (journal)
-                journal->append(key, encodeResilientPoint(p));
-            return p;
+                valid = variants[p.variant].spec.tryValidate();
+            return valid;
+        },
+        [&](std::size_t, ResilientSweepPoint &p) {
+            telemetry::ScopedSpan span("resilient", "evaluate_cell");
+            ClusterEvaluator ce(eval_, cluster_of(p));
+            ResilientClusterEvaluator rce(ce, variants[p.variant].spec);
+            ResilientResult r = rce.evaluate(cfg, app, comm);
+            p.systemMttfHours = r.systemMttfHours;
+            p.interruptionMttfHours = r.interruptionMttfHours;
+            p.commEfficiency = r.cluster.commEfficiency;
+            p.ckptEfficiency = r.ckptEfficiency;
+            p.rmtSlowdown = r.rmtSlowdown;
+            p.systemExaflops = r.cluster.systemExaflops;
+            p.effectiveExaflops = r.effectiveExaflops;
+            p.systemMw = r.systemMw;
         });
 }
 
@@ -276,10 +200,7 @@ ResilientScaleOutStudy::bestUnderAvailability(
             telemetry::ScopedSpan span("resilient", "search_candidate");
             const NodeConfig &cfg = configs[i / (nv * nn)];
             const ResilienceSpec &spec = variants[(i / nn) % nv].spec;
-            ClusterConfig cc = base_;
-            cc.nodes = node_counts[i % nn];
-            cc.torusX = cc.torusY = cc.torusZ = 0;
-            ClusterEvaluator ce(eval_, cc);
+            ClusterEvaluator ce(eval_, base_.withNodes(node_counts[i % nn]));
             ResilientClusterEvaluator rce(ce, spec);
             Candidate c;
             c.maxBudgetPowerW = eval_.maxBudgetPower(cfg);

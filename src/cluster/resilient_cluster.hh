@@ -209,6 +209,19 @@ struct ResilientSweepPoint
     /** False when the cell was quarantined; @p error says why. */
     bool ok = true;
     std::string error;
+
+    /** The scores a sweep journal stores (the key pins the cell). */
+    static const SweepCellFields<ResilientSweepPoint> &
+    journalFields()
+    {
+        using P = ResilientSweepPoint;
+        static const SweepCellFields<P> f{
+            {&P::systemMttfHours, &P::interruptionMttfHours,
+             &P::commEfficiency, &P::ckptEfficiency, &P::rmtSlowdown,
+             &P::systemExaflops, &P::effectiveExaflops, &P::systemMw},
+            {}};
+        return f;
+    }
 };
 
 class ResilientScaleOutStudy
@@ -220,12 +233,13 @@ class ResilientScaleOutStudy
 
     /**
      * Protection x topology x node-count sweep, flattened
-     * variant-major then topology-major, sharded over the process pool
-     * with one output slot per grid point (bit-identical to a serial
-     * run at any thread count; gated by bench_ras_scaleout). Invalid
-     * cells are quarantined (ResilientSweepPoint::ok == false), not
-     * fatal; with ENA_SWEEP_JOURNAL set, finished cells stream to the
-     * journal and a killed sweep resumes past them.
+     * variant-major then topology-major, run on runSweep
+     * (core/sweep_journal.hh) with one output slot per grid point
+     * (bit-identical to a serial run at any thread count; gated by
+     * bench_ras_scaleout). Invalid cells are quarantined
+     * (ResilientSweepPoint::ok == false), not fatal; with
+     * ENA_SWEEP_JOURNAL set, finished cells stream to the journal and
+     * a killed sweep resumes past them.
      */
     std::vector<ResilientSweepPoint> sweep(
         const NodeConfig &cfg, App app, const CommSpec &comm,

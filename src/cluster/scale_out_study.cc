@@ -1,8 +1,5 @@
 #include "cluster/scale_out_study.hh"
 
-#include <cstdlib>
-#include <sstream>
-
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
 #include "util/logging.hh"
@@ -10,53 +7,6 @@
 #include "util/thread_pool.hh"
 
 namespace ena {
-
-namespace {
-
-telemetry::Counter &
-failedCounter()
-{
-    static telemetry::Counter &c = telemetry::counter(
-        "sweep.configs_failed",
-        "grid points quarantined instead of evaluated");
-    return c;
-}
-
-/** Hexfloat journal payload; see encodeDsePoint in core/dse.cc. */
-std::string
-encodeTopologyPoint(const TopologyPoint &p)
-{
-    std::ostringstream os;
-    os << strformat("%a %a %a %a %a %d ", p.avgHops, p.bisectionGbs,
-                    p.efficiency, p.systemExaflops, p.systemMw,
-                    p.ok ? 1 : 0);
-    os << p.error;
-    return os.str();
-}
-
-bool
-decodeTopologyPoint(const std::string &payload, TopologyPoint *p)
-{
-    std::istringstream is(payload);
-    std::string f[5];
-    int ok = 0;
-    if (!(is >> f[0] >> f[1] >> f[2] >> f[3] >> f[4] >> ok))
-        return false;
-    double *dst[5] = {&p->avgHops, &p->bisectionGbs, &p->efficiency,
-                      &p->systemExaflops, &p->systemMw};
-    for (int i = 0; i < 5; ++i) {
-        char *end = nullptr;
-        *dst[i] = std::strtod(f[i].c_str(), &end);
-        if (end == f[i].c_str() || *end)
-            return false;
-    }
-    p->ok = ok != 0;
-    is.get();
-    std::getline(is, p->error);
-    return true;
-}
-
-} // anonymous namespace
 
 ScaleOutStudy::ScaleOutStudy(const NodeEvaluator &eval,
                              ClusterConfig base)
@@ -74,10 +24,7 @@ ScaleOutStudy::scalingCurve(const NodeConfig &cfg, App app,
     return ThreadPool::global().parallelMap(
         node_counts.size(), [&](std::size_t i) {
             telemetry::ScopedSpan span("cluster", "evaluate_node_count");
-            ClusterConfig cc = base_;
-            cc.nodes = node_counts[i];
-            // Explicit torus dims only fit the base node count.
-            cc.torusX = cc.torusY = cc.torusZ = 0;
+            ClusterConfig cc = base_.withNodes(node_counts[i]);
             ClusterEvaluator ce(eval_, cc);
             ClusterResult r = ce.evaluate(cfg, app, spec);
             ScalingPoint p;
@@ -153,66 +100,40 @@ ScaleOutStudy::topologySweep(
 {
     ENA_SPAN("cluster", "topology_sweep");
     const std::size_t nn = node_counts.size();
-    return ThreadPool::global().parallelMap(
-        topologies.size() * nn, [&](std::size_t i) {
-            telemetry::ScopedSpan span("cluster", "evaluate_topology");
-            ClusterConfig cc = base_;
-            cc.topology = topologies[i / nn];
-            cc.nodes = node_counts[i % nn];
-            cc.torusX = cc.torusY = cc.torusZ = 0;
+    auto cluster_of = [&](const TopologyPoint &p) {
+        ClusterConfig cc = base_.withNodes(p.nodes);
+        cc.topology = p.topology;
+        return cc;
+    };
+    return runSweep(
+        topologies.size() * nn, journal, TopologyPoint::journalFields(),
+        "topology sweep",
+        [&](std::size_t i) {
             TopologyPoint p;
-            p.topology = cc.topology;
-            p.nodes = cc.nodes;
-
-            std::string key, payload;
-            if (journal) {
-                key = strformat("topo[%zu]:%s:n%d:%s", i,
-                                clusterTopologyName(cc.topology).c_str(),
-                                cc.nodes, cfg.label().c_str());
-                if (journal->lookup(key, &payload)) {
-                    TopologyPoint j = p;
-                    if (decodeTopologyPoint(payload, &j))
-                        return j;
-                    warn("sweep journal: undecodable payload for '",
-                         key, "'; recomputing");
-                }
-            }
-
-            Status valid = cc.tryValidate();
-            if (!valid.ok())
-                valid = valid.withContext("topology sweep cell ", i);
-            else
-                valid = cfg.tryValidate();
-            if (!valid.ok()) {
-                p.ok = false;
-                p.error = valid.toString();
-                failedCounter().add();
-                warn("topology sweep: quarantined cell ", i, ": ",
-                     p.error);
-            } else {
-                try {
-                    ClusterEvaluator ce(eval_, cc);
-                    ClusterResult r = ce.evaluate(cfg, app, spec);
-                    p.avgHops = ce.network().avgHops();
-                    p.bisectionGbs = ce.network().bisectionGbs();
-                    p.efficiency = r.commEfficiency;
-                    p.systemExaflops = r.systemExaflops;
-                    p.systemMw = r.systemMw;
-                } catch (const std::exception &e) {
-                    p = TopologyPoint{};
-                    p.topology = cc.topology;
-                    p.nodes = cc.nodes;
-                    p.ok = false;
-                    p.error = e.what();
-                    failedCounter().add();
-                    warn("topology sweep: quarantined cell ", i, ": ",
-                         p.error);
-                }
-            }
-
-            if (journal)
-                journal->append(key, encodeTopologyPoint(p));
+            p.topology = topologies[i / nn];
+            p.nodes = node_counts[i % nn];
             return p;
+        },
+        [&](std::size_t i, const TopologyPoint &p) {
+            return strformat("topo[%zu]:%s:n%d:%s", i,
+                             clusterTopologyName(p.topology).c_str(),
+                             p.nodes, cfg.label().c_str());
+        },
+        [&](std::size_t i, const TopologyPoint &p) {
+            Status valid = cluster_of(p).tryValidate();
+            if (!valid.ok())
+                return valid.withContext("topology sweep cell ", i);
+            return cfg.tryValidate();
+        },
+        [&](std::size_t, TopologyPoint &p) {
+            telemetry::ScopedSpan span("cluster", "evaluate_topology");
+            ClusterEvaluator ce(eval_, cluster_of(p));
+            ClusterResult r = ce.evaluate(cfg, app, spec);
+            p.avgHops = ce.network().avgHops();
+            p.bisectionGbs = ce.network().bisectionGbs();
+            p.efficiency = r.commEfficiency;
+            p.systemExaflops = r.systemExaflops;
+            p.systemMw = r.systemMw;
         });
 }
 

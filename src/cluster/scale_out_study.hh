@@ -8,9 +8,11 @@
  *  - a topology x node-count sweep comparing fat-tree, dragonfly and
  *    3D-torus fabrics.
  *
- * Every sweep shards over ThreadPool::parallelMap with one output slot
- * per grid point, so results are bit-identical to a serial run at any
- * thread count (gated by bench_cluster_scaleout, like the PR 1 sweeps).
+ * Every sweep shards over the process pool with one output slot per
+ * grid point, so results are bit-identical to a serial run at any
+ * thread count (gated by bench_cluster_scaleout). The topology sweep
+ * runs on runSweep (core/sweep_journal.hh), which journals and
+ * quarantines its cells.
  */
 
 #ifndef ENA_CLUSTER_SCALE_OUT_STUDY_HH
@@ -60,6 +62,18 @@ struct TopologyPoint
     /** False when the cell was quarantined; @p error says why. */
     bool ok = true;
     std::string error;
+
+    /** The scores a sweep journal stores (the key pins the cell). */
+    static const SweepCellFields<TopologyPoint> &
+    journalFields()
+    {
+        static const SweepCellFields<TopologyPoint> f{
+            {&TopologyPoint::avgHops, &TopologyPoint::bisectionGbs,
+             &TopologyPoint::efficiency, &TopologyPoint::systemExaflops,
+             &TopologyPoint::systemMw},
+            {}};
+        return f;
+    }
 };
 
 class ScaleOutStudy

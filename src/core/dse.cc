@@ -1,8 +1,6 @@
 #include "core/dse.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <sstream>
 
 #include "common/calibration.hh"
 #include "telemetry/metrics.hh"
@@ -23,63 +21,6 @@ configsCounter()
         "dse.configs_evaluated",
         "grid points scored across all DSE sweeps and searches");
     return c;
-}
-
-telemetry::Counter &
-failedCounter()
-{
-    static telemetry::Counter &c = telemetry::counter(
-        "sweep.configs_failed",
-        "grid points quarantined instead of evaluated");
-    return c;
-}
-
-/** Stable bitmask of the power-opt toggles, for journal keys. */
-int
-optsBits(const PowerOptConfig &o)
-{
-    return powerOptBits(o);
-}
-
-/**
- * Journal payload for one DsePoint. Doubles travel as hexfloats so a
- * resumed sweep reproduces the uninterrupted table bit-for-bit; the
- * config itself is not stored (the key pins index, label, and opts).
- */
-std::string
-encodeDsePoint(const DsePoint &p)
-{
-    std::ostringstream os;
-    os << strformat("%a %a %a %d %d ", p.geomeanFlops,
-                    p.meanBudgetPowerW, p.maxBudgetPowerW,
-                    p.feasible ? 1 : 0, p.ok ? 1 : 0);
-    os << p.error;
-    return os.str();
-}
-
-bool
-decodeDsePoint(const std::string &payload, DsePoint *p)
-{
-    std::istringstream is(payload);
-    int feasible = 0, ok = 0;
-    std::string g, m, x;
-    if (!(is >> g >> m >> x >> feasible >> ok))
-        return false;
-    char *end = nullptr;
-    p->geomeanFlops = std::strtod(g.c_str(), &end);
-    if (end == g.c_str() || *end)
-        return false;
-    p->meanBudgetPowerW = std::strtod(m.c_str(), &end);
-    if (end == m.c_str() || *end)
-        return false;
-    p->maxBudgetPowerW = std::strtod(x.c_str(), &end);
-    if (end == x.c_str() || *end)
-        return false;
-    p->feasible = feasible != 0;
-    p->ok = ok != 0;
-    is.get();   // the separator before the (possibly empty) error text
-    std::getline(is, p->error);
-    return true;
 }
 
 /** Publish the configs/sec rate of the sweep that just finished. */
@@ -146,61 +87,29 @@ std::vector<DsePoint>
 DesignSpaceExplorer::sweep(const PowerOptConfig &opts,
                            SweepJournal *journal) const
 {
-    // Two phases. Phase 1 (serial, cheap): replay journaled points and
-    // quarantine invalid configs, collecting the surviving indices.
-    // Phase 2: score the survivors on the ThreadPool, one task per
-    // point through the sweep-level memo cache; a point that throws is
-    // quarantined alone. Workers fill their own slots and all argmax
-    // reductions happen elsewhere in index order, so the output is
-    // identical to the serial enumeration for any thread count; with a
-    // journal every finished slot also streams to disk so a killed run
-    // resumes instead of recomputing.
+    // runSweep replays and validates serially, then scores the
+    // survivors one pool task per point through the sweep-level memo
+    // cache. All argmax reductions happen elsewhere in index order, so
+    // the output is identical to the serial enumeration.
     ENA_SPAN("dse", "sweep");
     const double t0 = telemetry::nowUs();
     const std::size_t n = grid_.size();
-    std::vector<DsePoint> points(n);
-    std::vector<std::string> keys(journal ? n : 0);
-
-    std::vector<std::size_t> todo;
-    todo.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        DsePoint &p = points[i];
-        p.cfg = configAt(i, opts);
-
-        if (journal) {
-            keys[i] = strformat("dse[%zu]:%s:o%d", i,
-                                p.cfg.label().c_str(), optsBits(opts));
-            std::string payload;
-            if (journal->lookup(keys[i], &payload)) {
-                DsePoint j = p;
-                if (decodeDsePoint(payload, &j)) {
-                    p = j;
-                    continue;
-                }
-                warn("sweep journal: undecodable payload for '",
-                     keys[i], "'; recomputing");
-            }
-        }
-
-        Status valid = p.cfg.tryValidate();
-        if (!valid.ok()) {
-            p.ok = false;
-            p.error = valid.toString();
-            failedCounter().add();
-            warn("DSE: quarantined grid point ", i, " (",
-                 p.cfg.label(), "): ", p.error);
-            if (journal)
-                journal->append(keys[i], encodeDsePoint(p));
-            continue;
-        }
-        todo.push_back(i);
-    }
-
     const std::vector<App> &apps = allApps();
-    ThreadPool::global().parallelFor(todo.size(), [&](std::size_t j) {
-        const std::size_t i = todo[j];
-        DsePoint &p = points[i];
-        try {
+    const int opts_bits = powerOptBits(opts);
+
+    std::vector<DsePoint> points = runSweep(
+        n, journal, DsePoint::journalFields(), "DSE",
+        [&](std::size_t i) {
+            DsePoint p;
+            p.cfg = configAt(i, opts);
+            return p;
+        },
+        [&](std::size_t i, const DsePoint &p) {
+            return strformat("dse[%zu]:%s:o%d", i, p.cfg.label().c_str(),
+                             opts_bits);
+        },
+        [](std::size_t, const DsePoint &p) { return p.cfg.tryValidate(); },
+        [&](std::size_t, DsePoint &p) {
             // The fold of NodeEvaluator::geomeanFlops/meanBudgetPower/
             // maxBudgetPower, over one memoized evaluation per app.
             std::vector<double> flops(apps.size()), budget(apps.size());
@@ -215,18 +124,7 @@ DesignSpaceExplorer::sweep(const PowerOptConfig &opts,
             for (double w : budget)
                 p.maxBudgetPowerW = std::max(p.maxBudgetPowerW, w);
             p.feasible = p.maxBudgetPowerW <= budgetW_;
-        } catch (const std::exception &e) {
-            p = DsePoint{};
-            p.cfg = configAt(i, opts);
-            p.ok = false;
-            p.error = e.what();
-            failedCounter().add();
-            warn("DSE: quarantined grid point ", i, " (", p.cfg.label(),
-                 "): ", p.error);
-        }
-        if (journal)
-            journal->append(keys[i], encodeDsePoint(p));
-    });
+        });
 
     configsCounter().add(n);
     publishSweepRate(n, t0);

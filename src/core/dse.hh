@@ -67,6 +67,17 @@ struct DsePoint
      */
     bool ok = true;
     std::string error;
+
+    /** The scores a sweep journal stores (the key pins the config). */
+    static const SweepCellFields<DsePoint> &
+    journalFields()
+    {
+        static const SweepCellFields<DsePoint> f{
+            {&DsePoint::geomeanFlops, &DsePoint::meanBudgetPowerW,
+             &DsePoint::maxBudgetPowerW},
+            {&DsePoint::feasible}};
+        return f;
+    }
 };
 
 /** Best configuration for a single application. */
@@ -93,6 +104,9 @@ struct TableIIRow
  * are deterministic and identical to a single-threaded run because
  * every grid point is scored independently into its own slot and all
  * argmax reductions happen on the caller in grid-enumeration order.
+ * sweep() is a runSweep (core/sweep_journal.hh): journal replay and
+ * validation serially, scoring on the pool, per-point quarantine and
+ * journal append.
  *
  * Grid points are scored one per pool task through
  * NodeEvaluator::evaluateMemo, with a sweep-level EvalMemoCache shared

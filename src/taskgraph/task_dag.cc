@@ -172,14 +172,15 @@ TaskDag::wavefront(int n, double task_flops, double edge_bytes, App app)
     ENA_ASSERT(n > 0, "wavefront needs a positive grid size, got ", n);
     TaskDag dag(strformat("wavefront n=%d", n));
     std::vector<TaskId> grid(static_cast<std::size_t>(n) * n);
-    for (int i = 0; i < n; ++i) {
-        for (int j = 0; j < n; ++j) {
+    const std::size_t w = static_cast<std::size_t>(n);
+    for (std::size_t i = 0; i < w; ++i) {
+        for (std::size_t j = 0; j < w; ++j) {
             std::vector<DagEdge> deps;
             if (i > 0)
-                deps.push_back({grid[(i - 1) * n + j], edge_bytes});
+                deps.push_back({grid[(i - 1) * w + j], edge_bytes});
             if (j > 0)
-                deps.push_back({grid[i * n + (j - 1)], edge_bytes});
-            grid[i * n + j] =
+                deps.push_back({grid[i * w + (j - 1)], edge_bytes});
+            grid[i * w + j] =
                 dag.addTask(task_flops, app, std::move(deps));
         }
     }

@@ -82,7 +82,48 @@ struct TaskGraphSpec
         if (fanin < 2)
             return Status::outOfRange("taskgraph.fanin must be >= 2, got ",
                                       fanin);
+        // Bounded so no request can ask build() for unbounded memory
+        // and time; random-layered also flips width^2 coins per layer.
+        const long long tasks = taskCount();
+        if (tasks > maxTasks) {
+            return Status::outOfRange("taskgraph: ", dagShapeName(shape),
+                                      " has ", tasks, " tasks (at most ",
+                                      maxTasks, ")");
+        }
+        if (shape == DagShape::RandomLayered &&
+            (depth - 1LL) * size * size > maxTasks) {
+            return Status::outOfRange(
+                "taskgraph: random-layered ", size, " wide x ", depth,
+                " layers has over ", maxTasks, " candidate edges");
+        }
         return Status();
+    }
+
+    /** Cap on tasks, and on random-layered candidate edges. */
+    static constexpr long long maxTasks = 1000000;
+
+    /** Tasks build() creates, in 64-bit arithmetic (wavefront: n^2). */
+    long long
+    taskCount() const
+    {
+        const long long n = size, d = depth;
+        switch (shape) {
+          case DagShape::Wavefront:
+            return n * n;
+          case DagShape::StencilHalo:
+          case DagShape::RandomLayered:
+            return n * d;
+          case DagShape::ForkJoin:
+            return 1 + d * (n + 1);
+          case DagShape::ReductionTree:
+            break;
+        }
+        long long level = n, total = n;
+        while (level > 1) {
+            level = (level + fanin - 1) / fanin;
+            total += level;
+        }
+        return total;
     }
 
     /** Instantiate the DAG this spec describes. */

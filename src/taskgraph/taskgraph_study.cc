@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/sweep_journal.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
 #include "util/logging.hh"
@@ -17,15 +18,6 @@ sweepCellCounter()
     static telemetry::Counter &c = telemetry::counter(
         "taskgraph.sweep_cells",
         "scheduler x topology x node-count cells evaluated");
-    return c;
-}
-
-telemetry::Counter &
-quarantinedCounter()
-{
-    static telemetry::Counter &c = telemetry::counter(
-        "sweep.configs_failed",
-        "grid points quarantined instead of evaluated");
     return c;
 }
 
@@ -47,62 +39,43 @@ TaskGraphStudy::sweep(const TaskDag &dag, const NodeConfig &cfg,
     ENA_SPAN("taskgraph", "taskgraph_sweep");
     const std::size_t nt = topologies.size();
     const std::size_t nn = node_counts.size();
-    return ThreadPool::global().parallelMap(
-        schedulers.size() * nt * nn, [&](std::size_t i) {
-            telemetry::ScopedSpan span("taskgraph", "evaluate_cell");
+    const Status dag_valid = dag.tryValidate();
+    auto cluster_of = [&](const TaskGraphSweepPoint &p) {
+        ClusterConfig cc = base_.withNodes(p.nodes);
+        cc.topology = p.topology;
+        return cc;
+    };
+    return runSweep(
+        schedulers.size() * nt * nn, "taskgraph sweep",
+        [&](std::size_t i) {
             TaskGraphSweepPoint p;
             p.scheduler = i / (nt * nn);
             p.topology = topologies[(i / nn) % nt];
             p.nodes = node_counts[i % nn];
-
-            ClusterConfig cc = base_;
-            cc.topology = p.topology;
-            cc.nodes = p.nodes;
-            // Explicit torus dims only fit the base node count.
-            cc.torusX = cc.torusY = cc.torusZ = 0;
-
-            Status valid = cc.tryValidate();
+            return p;
+        },
+        [&](std::size_t i, const TaskGraphSweepPoint &p) {
+            Status valid = cluster_of(p).tryValidate();
             if (valid.ok())
                 valid = cfg.tryValidate();
             if (valid.ok())
-                valid = dag.tryValidate();
-            if (!valid.ok()) {
-                p.ok = false;
-                p.error =
-                    valid.withContext("taskgraph sweep cell ", i).toString();
-                quarantinedCounter().add();
-                warn("taskgraph sweep: quarantined cell ", i, ": ",
-                     p.error);
-                return p;
-            }
-
-            try {
-                InterNodeNetwork net(cc);
-                DagCostModel cost =
-                    DagCostModel::build(dag, eval_, cfg, net);
-                Schedule s = scheduleDag(dag, cost,
-                                         schedulers[p.scheduler], p.nodes);
-                p.makespanSeconds = s.makespanSeconds;
-                p.criticalPathSeconds = criticalPathSeconds(dag, cost);
-                p.speedup = s.speedup();
-                p.efficiency = s.efficiency();
-                p.utilization = s.utilization();
-                p.commSeconds = s.totalCommSeconds;
-                p.edgesCosted = s.edgesCosted;
-                sweepCellCounter().add();
-            } catch (const std::exception &e) {
-                const std::size_t sched = p.scheduler;
-                p = TaskGraphSweepPoint{};
-                p.scheduler = sched;
-                p.topology = topologies[(i / nn) % nt];
-                p.nodes = node_counts[i % nn];
-                p.ok = false;
-                p.error = e.what();
-                quarantinedCounter().add();
-                warn("taskgraph sweep: quarantined cell ", i, ": ",
-                     p.error);
-            }
-            return p;
+                valid = dag_valid;
+            return valid.withContext("taskgraph sweep cell ", i);
+        },
+        [&](std::size_t, TaskGraphSweepPoint &p) {
+            telemetry::ScopedSpan span("taskgraph", "evaluate_cell");
+            InterNodeNetwork net(cluster_of(p));
+            DagCostModel cost = DagCostModel::build(dag, eval_, cfg, net);
+            Schedule s =
+                scheduleDag(dag, cost, schedulers[p.scheduler], p.nodes);
+            p.makespanSeconds = s.makespanSeconds;
+            p.criticalPathSeconds = criticalPathSeconds(dag, cost);
+            p.speedup = s.speedup();
+            p.efficiency = s.efficiency();
+            p.utilization = s.utilization();
+            p.commSeconds = s.totalCommSeconds;
+            p.edgesCosted = s.edgesCosted;
+            sweepCellCounter().add();
         });
 }
 
@@ -121,10 +94,7 @@ TaskGraphStudy::jobMix(const std::vector<TaskDag> &dags,
     r.jobs = static_cast<int>(dags.size());
     r.nodesPerJob = total_nodes / r.jobs;
 
-    ClusterConfig cc = base_;
-    cc.nodes = total_nodes;
-    cc.torusX = cc.torusY = cc.torusZ = 0;
-    InterNodeNetwork net(cc);
+    InterNodeNetwork net(base_.withNodes(total_nodes));
 
     r.perJob = ThreadPool::global().parallelMap(
         dags.size(), [&](std::size_t i) {

@@ -5,10 +5,11 @@
  * co-scheduled jobs do to each other. The task-graph counterpart of
  * ScaleOutStudy, with the same execution discipline:
  *
- *  - cells shard over the process-wide ThreadPool, one output slot per
- *    grid index, serial reduction in index order — bit-identical to a
- *    serial run at any thread count (gated by bench_taskgraph and
- *    tests/taskgraph);
+ *  - the sweep runs on runSweep (core/sweep_journal.hh) without a
+ *    journal: cells shard over the process-wide ThreadPool, one output
+ *    slot per grid index, serial reduction in index order —
+ *    bit-identical to a serial run at any thread count (gated by
+ *    bench_taskgraph and tests/taskgraph);
  *  - each cell's cost model evaluates the node once per distinct app
  *    in its DAG (DagCostModel's per-app table);
  *  - invalid cells are quarantined (ok == false, error says why), not

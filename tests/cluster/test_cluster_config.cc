@@ -84,6 +84,24 @@ TEST(ClusterConfig, TorusDimsMustBeAllExplicitOrAllAutoAndFitTheNodes)
     EXPECT_TRUE(c.tryValidate().ok());
 }
 
+TEST(ClusterConfig, WithNodesKeepsTheFabricAndDerivesTorusDims)
+{
+    ClusterConfig c;
+    c.topology = ClusterTopology::Torus3D;
+    c.nodes = 1000;
+    c.torusX = c.torusY = c.torusZ = 10;
+    c.linkGbs = 50.0;
+    ClusterConfig d = c.withNodes(8000);
+    EXPECT_EQ(d.nodes, 8000);
+    EXPECT_EQ(d.torusX, 0);
+    EXPECT_EQ(d.torusY, 0);
+    EXPECT_EQ(d.torusZ, 0);
+    EXPECT_EQ(d.topology, c.topology);
+    EXPECT_EQ(d.linkGbs, c.linkGbs);
+    EXPECT_TRUE(d.tryValidate().ok());
+    EXPECT_EQ(c.nodes, 1000);           // the original is untouched
+}
+
 TEST(ClusterConfigIo, RoundTripsThroughConfig)
 {
     ClusterConfig c;

@@ -3,8 +3,9 @@
  * ResilientClusterEvaluator: the zero-resiliency bit-identical
  * reduction to ClusterEvaluator, cluster.ras. config-file bindings,
  * fabric-drained checkpoints, the protection ladder's effect on
- * effective exaflops, and determinism of the sharded protection sweep
- * and the availability-constrained best-config search.
+ * effective exaflops, determinism and journal resume of the sharded
+ * protection sweep, and the availability-constrained best-config
+ * search.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "cluster/cluster_config_io.hh"
 #include "cluster/resilient_cluster.hh"
 #include "cluster/resilient_cluster_io.hh"
+#include "journal_resume.hh"
 #include "util/thread_pool.hh"
 
 using namespace ena;
@@ -195,10 +197,8 @@ TEST(ResilientCluster, SweepMatchesDirectEvaluationAndOrdering)
 
     // Each grid point is exactly the standalone evaluator's answer.
     for (const ResilientSweepPoint &p : sweep) {
-        ClusterConfig cc = ClusterConfig::exascale();
-        cc.nodes = p.nodes;
+        ClusterConfig cc = ClusterConfig::exascale().withNodes(p.nodes);
         cc.topology = p.topology;
-        cc.torusX = cc.torusY = cc.torusZ = 0;
         ClusterEvaluator ce(evaluator(), cc);
         ResilientClusterEvaluator rce(ce, variants[p.variant].spec);
         ResilientResult r = rce.evaluate(cfg, App::CoMD, CommSpec{});
@@ -245,6 +245,29 @@ TEST(ResilientCluster, SweepIsDeterministicAcrossThreadCounts)
         EXPECT_EQ(serial[i].effectiveExaflops,
                   parallel[i].effectiveExaflops);
         EXPECT_EQ(serial[i].systemMw, parallel[i].systemMw);
+    }
+}
+
+TEST(ResilientCluster, JournaledSweepResumesFromATornJournal)
+{
+    ResilientScaleOutStudy study(evaluator(), ClusterConfig::exascale());
+    const std::vector<ClusterTopology> topos = {ClusterTopology::FatTree,
+                                                ClusterTopology::Torus3D};
+    const std::vector<int> sizes = {-3, 1000, 27000};
+    const NodeConfig cfg = NodeConfig::bestMean();
+    auto cells = test::expectJournalResumes<ResilientSweepPoint>(
+        "test_protection_journal.tmp", [&](SweepJournal *j) {
+            return study.sweep(cfg, App::CoMD, CommSpec{},
+                               standardProtectionVariants(), topos, sizes,
+                               j);
+        });
+    ASSERT_EQ(cells.size(), 18u);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        EXPECT_EQ(cells[i].ok, i % sizes.size() != 0) << i;
+        if (!cells[i].ok) {
+            EXPECT_NE(cells[i].error.find("bad node count -3"),
+                      std::string::npos) << cells[i].error;
+        }
     }
 }
 

@@ -1,13 +1,14 @@
 /**
  * @file
  * ScaleOutStudy: weak/strong scaling shapes, the communication-aware
- * Fig. 14 sweep's analytic column, and serial/parallel determinism of
- * the sharded topology sweep.
+ * Fig. 14 sweep's analytic column, serial/parallel determinism of the
+ * sharded topology sweep, and its journal resume.
  */
 
 #include <gtest/gtest.h>
 
 #include "cluster/scale_out_study.hh"
+#include "journal_resume.hh"
 #include "util/thread_pool.hh"
 
 using namespace ena;
@@ -128,4 +129,25 @@ TEST(ScaleOutStudy, TopologySweepIsTopologyMajor)
     EXPECT_EQ(sweep[1].nodes, 8000);
     EXPECT_EQ(sweep[2].topology, ClusterTopology::Dragonfly);
     EXPECT_EQ(sweep[5].topology, ClusterTopology::Torus3D);
+}
+
+TEST(ScaleOutStudy, JournaledTopologySweepResumesFromATornJournal)
+{
+    // -3 nodes fails ClusterConfig validation: one quarantined cell
+    // per topology, which must replay with its error text.
+    const std::vector<int> sizes = {-3, 1000, 8000, 27000};
+    const NodeConfig cfg = NodeConfig::bestMean();
+    auto cells = test::expectJournalResumes<TopologyPoint>(
+        "test_topology_journal.tmp", [&](SweepJournal *j) {
+            return study().topologySweep(cfg, App::CoMD, CommSpec{},
+                                         allClusterTopologies(), sizes, j);
+        });
+    ASSERT_EQ(cells.size(), 12u);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        EXPECT_EQ(cells[i].ok, i % sizes.size() != 0) << i;
+    }
+    EXPECT_NE(cells[4].error.find("topology sweep cell 4"),
+              std::string::npos) << cells[4].error;
+    EXPECT_NE(cells[4].error.find("bad node count -3"), std::string::npos)
+        << cells[4].error;
 }

@@ -2,8 +2,8 @@
  * @file
  * Tests for the append-only sweep journal: record round-trips, CRC
  * rejection of corruption, recovery from the torn trailing record a
- * mid-write kill leaves behind, and the ENA_SWEEP_JOURNAL ambient
- * entry point.
+ * mid-write kill leaves behind, the ENA_SWEEP_JOURNAL ambient entry
+ * point, and the sweep-cell payload codec.
  */
 
 #include <gtest/gtest.h>
@@ -11,8 +11,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 
+#include "cluster/resilient_cluster.hh"
+#include "cluster/scale_out_study.hh"
+#include "core/dse.hh"
 #include "core/sweep_journal.hh"
 
 using namespace ena;
@@ -209,4 +213,76 @@ TEST(SweepJournal, OpenFromEnvironmentHonorsTheVariable)
     ASSERT_EQ(setenv("ENA_SWEEP_JOURNAL", "no/such/dir/j", 1), 0);
     EXPECT_EQ(SweepJournal::openFromEnvironment(), nullptr);
     ASSERT_EQ(unsetenv("ENA_SWEEP_JOURNAL"), 0);
+}
+
+TEST(SweepCellCodec, PayloadsKeepTheJournalFormat)
+{
+    // Pinned byte for byte: journals written by earlier builds must
+    // keep resuming, so these strings never change.
+    DsePoint d;
+    d.geomeanFlops = 1.5;
+    d.meanBudgetPowerW = 2.0;
+    d.maxBudgetPowerW = 0.25;
+    d.feasible = true;
+    EXPECT_EQ(encodeSweepCell(d, DsePoint::journalFields()),
+              "0x1.8p+0 0x1p+1 0x1p-2 1 1 ");
+
+    TopologyPoint t;
+    t.ok = false;
+    t.error = "out_of_range: ClusterConfig: bad node count -3";
+    EXPECT_EQ(encodeSweepCell(t, TopologyPoint::journalFields()),
+              "0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0 "
+              "out_of_range: ClusterConfig: bad node count -3");
+
+    ResilientSweepPoint r;
+    r.systemMttfHours = 3.0;
+    r.interruptionMttfHours = std::numeric_limits<double>::infinity();
+    r.commEfficiency = 0.5;
+    r.ckptEfficiency = 0.75;
+    r.rmtSlowdown = 1.0;
+    r.systemExaflops = -0.125;
+    r.effectiveExaflops = 1e-3;
+    r.systemMw = 20.0;
+    const std::string payload =
+        "0x1.8p+1 inf 0x1p-1 0x1.8p-1 0x1p+0 -0x1p-3 "
+        "0x1.0624dd2f1a9fcp-10 0x1.4p+4 1 ";
+    EXPECT_EQ(encodeSweepCell(r, ResilientSweepPoint::journalFields()),
+              payload);
+
+    // And each decodes back to the same bits.
+    DsePoint d2;
+    ASSERT_TRUE(decodeSweepCell("0x1.8p+0 0x1p+1 0x1p-2 1 1 ",
+                                DsePoint::journalFields(), &d2));
+    EXPECT_EQ(d2.geomeanFlops, 1.5);
+    EXPECT_EQ(d2.maxBudgetPowerW, 0.25);
+    EXPECT_TRUE(d2.feasible);
+    EXPECT_TRUE(d2.ok);
+    EXPECT_EQ(d2.error, "");
+
+    TopologyPoint t2;
+    ASSERT_TRUE(decodeSweepCell(
+        encodeSweepCell(t, TopologyPoint::journalFields()),
+        TopologyPoint::journalFields(), &t2));
+    EXPECT_FALSE(t2.ok);
+    EXPECT_EQ(t2.error, t.error);
+
+    ResilientSweepPoint r2;
+    ASSERT_TRUE(decodeSweepCell(payload, ResilientSweepPoint::journalFields(),
+                                &r2));
+    EXPECT_EQ(r2.interruptionMttfHours, r.interruptionMttfHours);
+    EXPECT_EQ(r2.systemExaflops, r.systemExaflops);
+    EXPECT_EQ(r2.effectiveExaflops, r.effectiveExaflops);
+}
+
+TEST(SweepCellCodec, MalformedPayloadsAreRejected)
+{
+    DsePoint d;
+    const auto &f = DsePoint::journalFields();
+    EXPECT_FALSE(decodeSweepCell("", f, &d));
+    EXPECT_FALSE(decodeSweepCell("0x1p+0 0x1p+0 1 1 ", f, &d));
+    EXPECT_FALSE(decodeSweepCell("0x1p+0 junk 0x1p+0 1 1 ", f, &d));
+    EXPECT_FALSE(decodeSweepCell("0x1p+0 0x1p+0 0x1p+0 1", f, &d));
+    EXPECT_TRUE(decodeSweepCell("0x1p+0 0x1p+0 0x1p+0 0 0 why", f, &d));
+    EXPECT_FALSE(d.ok);
+    EXPECT_EQ(d.error, "why");
 }

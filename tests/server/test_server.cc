@@ -383,6 +383,28 @@ TEST(EvalService, PartlyExplicitTorusIsAnErrorAndTheServiceAnswersOn)
     EXPECT_EQ(svc.errorsReturned(), 2u);
 }
 
+TEST(EvalService, OversizedTaskGraphIsAnErrorAndTheServiceAnswersOn)
+{
+    // A size-200000 wavefront asks for 4e10 tasks; it must be refused
+    // before the DAG is built, not fill memory.
+    EvalService svc;
+    JsonValue req = request("taskgraph_eval");
+    req.set("config", "cluster.nodes = 64\n"
+                      "taskgraph.shape = wavefront\n"
+                      "taskgraph.size = 200000\n");
+    JsonValue resp = svc.handle(req);
+    EXPECT_FALSE(resp.find("ok")->boolean());
+    EXPECT_EQ(resp.find("error")->find("code")->str(), "out_of_range");
+
+    req.set("config", "cluster.nodes = 64\n"
+                      "taskgraph.shape = wavefront\n"
+                      "taskgraph.size = 8\n");
+    resp = svc.handle(req);
+    EXPECT_TRUE(resp.find("ok")->boolean()) << resp.dump();
+    EXPECT_EQ(resp.find("result")->find("tasks")->number(), 64.0);
+    EXPECT_EQ(svc.errorsReturned(), 1u);
+}
+
 TEST(EvalService, FaultInjectedSweepIsBitIdenticalToFaultFree)
 {
     // Every pool task faults on its first attempt; the retry policy

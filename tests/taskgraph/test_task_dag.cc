@@ -183,3 +183,51 @@ TEST(TaskGraphSpec, BuildDispatchesByShape)
         EXPECT_TRUE(dag.tryValidate().ok()) << dagShapeName(shape);
     }
 }
+
+TEST(TaskGraphSpec, TaskCountMatchesTheBuiltDag)
+{
+    for (DagShape shape : allDagShapes()) {
+        for (int size : {1, 2, 5, 9}) {
+            for (int fanin : {2, 3, 7}) {
+                TaskGraphSpec s;
+                s.shape = shape;
+                s.size = size;
+                s.depth = 3;
+                s.fanin = fanin;
+                EXPECT_EQ(s.taskCount(),
+                          static_cast<long long>(s.build().size()))
+                    << dagShapeName(shape) << " size " << size << " fanin "
+                    << fanin;
+            }
+        }
+    }
+}
+
+TEST(TaskGraphSpec, OversizedDagsAreOutOfRange)
+{
+    TaskGraphSpec s;
+    s.shape = DagShape::Wavefront;
+    s.size = 1000;                      // 1e6 tasks: the cap itself
+    EXPECT_TRUE(s.tryValidate().ok());
+    s.size = 1001;
+    EXPECT_EQ(s.tryValidate().code(), ErrorCode::OutOfRange);
+    s.size = 200000;                    // 4e10 tasks; n^2 overflows int
+    EXPECT_EQ(s.tryValidate().code(), ErrorCode::OutOfRange);
+    s.size = 2147483647;
+    EXPECT_EQ(s.tryValidate().code(), ErrorCode::OutOfRange);
+
+    s.shape = DagShape::StencilHalo;
+    s.size = 2147483647;
+    s.depth = 2147483647;
+    EXPECT_EQ(s.tryValidate().code(), ErrorCode::OutOfRange);
+
+    // Random-layered is bounded by its width^2 coin flips per layer
+    // too, not only by its task count.
+    s = TaskGraphSpec{};
+    s.shape = DagShape::RandomLayered;
+    s.size = 1000;
+    s.depth = 2;                        // 2000 tasks, 1e6 flips
+    EXPECT_TRUE(s.tryValidate().ok());
+    s.depth = 3;                        // 3000 tasks, 2e6 flips
+    EXPECT_EQ(s.tryValidate().code(), ErrorCode::OutOfRange);
+}
