@@ -46,7 +46,12 @@ main(int argc, char **argv)
                   << cfg.toString() << "\n";
     }
 
-    NodeConfig node = nodeConfigFromConfig(cfg);
+    Expected<NodeConfig> loaded = tryNodeConfigFromConfig(cfg);
+    if (!loaded.ok()) {
+        std::cerr << "custom_node: " << loaded.status().toString() << "\n";
+        return 1;
+    }
+    const NodeConfig &node = *loaded;
     NodeEvaluator eval;
 
     std::cout << "Evaluating " << node.label() << " ("

@@ -30,7 +30,6 @@
 
 #include "core/ena.hh"
 #include "server/client.hh"
-#include "util/stats_math.hh"
 #include "util/status.hh"
 #include "util/string_utils.hh"
 #include "util/thread_pool.hh"
@@ -102,13 +101,6 @@ main(int argc, char **argv)
     Expected<double> step = tryNumber(args[4], "STEP");
     if (!step.ok())
         return usage(step.status());
-    Expected<std::vector<double>> values =
-        trySweepAxisValues(*from, *to, *step);
-    if (!values.ok())
-        return usage(values.status());
-    if (axis != "cus" && axis != "freq" && axis != "bw")
-        return usage(Status::invalidArgument("unknown axis '", axis,
-                                             "'"));
 
     NodeConfig base = NodeConfig::bestMean();
     bool haveBase = args.size() > 7;
@@ -126,6 +118,10 @@ main(int argc, char **argv)
             return usage(bw.status());
         base.bwTbs = *bw;
     }
+    Expected<AxisSweep> sweep =
+        trySweepAxis(base, axis, *from, *to, *step);
+    if (!sweep.ok())
+        return usage(sweep.status());
 
     std::vector<std::string> rows;
     if (!server.empty()) {
@@ -162,16 +158,9 @@ main(int argc, char **argv)
         // Evaluate every point on the process-wide pool (ENA_THREADS)
         // and emit the CSV rows in sweep order afterwards.
         NodeEvaluator eval;
-        rows = parallel_map(values->size(), [&](std::size_t i) {
-            double v = (*values)[i];
-            NodeConfig cfg = base;
-            if (axis == "cus")
-                cfg.cus = static_cast<int>(v);
-            else if (axis == "freq")
-                cfg.freqGhz = v;
-            else
-                cfg.bwTbs = v;
-            cfg.validate();
+        rows = parallel_map(sweep->values.size(), [&](std::size_t i) {
+            const double v = sweep->values[i];
+            const NodeConfig &cfg = sweep->configs[i];
             EvalResult r = eval.evaluate(cfg, app);
             std::ostringstream os;
             os << appName(app) << "," << axis << "," << v << ","

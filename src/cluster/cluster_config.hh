@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "util/enum_names.hh"
 #include "util/logging.hh"
 #include "util/status.hh"
 #include "util/string_utils.hh"
@@ -30,18 +31,28 @@ enum class ClusterTopology
     Torus3D,    ///< 3D torus, one switch per node
 };
 
-/** Display name ("fat-tree" / "dragonfly" / "3d-torus"). */
-std::string clusterTopologyName(ClusterTopology t);
+/** Names "fat-tree" / "dragonfly" / "3d-torus", with aliases. */
+const EnumNames<ClusterTopology> &enumNames(ClusterTopology);
 
-/** Parse a topology name (case-insensitive). */
-Expected<ClusterTopology> tryClusterTopologyFromName(
-    const std::string &name);
+inline std::string
+clusterTopologyName(ClusterTopology t)
+{
+    return std::string(enumNames(t).name(t));
+}
 
-/** Parse a topology name (case-insensitive); fatal() on unknown. */
-ClusterTopology clusterTopologyFromName(const std::string &name);
+/** Parse a topology name or alias (case-insensitive). */
+inline Expected<ClusterTopology>
+tryClusterTopologyFromName(const std::string &name)
+{
+    return enumNames(ClusterTopology{}).tryParse(name);
+}
 
 /** All modeled topologies, in enum order. */
-const std::vector<ClusterTopology> &allClusterTopologies();
+inline const std::vector<ClusterTopology> &
+allClusterTopologies()
+{
+    return enumNames(ClusterTopology{}).all();
+}
 
 /** The scale-out machine's configuration. */
 struct ClusterConfig

@@ -4,7 +4,6 @@
 
 #include "cluster/internode_network.hh"
 #include "util/logging.hh"
-#include "util/string_utils.hh"
 
 namespace ena {
 
@@ -20,52 +19,25 @@ constexpr double allToAllShare = 0.5;
 
 } // anonymous namespace
 
-std::string
-commPatternName(CommPattern p)
+const EnumNames<CommPattern> &
+enumNames(CommPattern)
 {
-    switch (p) {
-      case CommPattern::Halo:
-        return "halo";
-      case CommPattern::Allreduce:
-        return "allreduce";
-      case CommPattern::AllToAll:
-        return "all-to-all";
-    }
-    ENA_FATAL("unknown CommPattern ", static_cast<int>(p));
+    static const EnumNames<CommPattern> names(
+        "comm pattern",
+        {{CommPattern::Halo, "halo", {"nearest-neighbor", "stencil"}},
+         {CommPattern::Allreduce, "allreduce"},
+         {CommPattern::AllToAll, "all-to-all",
+          {"alltoall", "all_to_all", "a2a"}}});
+    return names;
 }
 
-Expected<CommPattern>
-tryCommPatternFromName(const std::string &name)
+const EnumNames<ScalingMode> &
+enumNames(ScalingMode)
 {
-    std::string n = toLower(name);
-    for (CommPattern p : allCommPatterns()) {
-        if (n == commPatternName(p))
-            return p;
-    }
-    if (n == "alltoall" || n == "all_to_all" || n == "a2a")
-        return CommPattern::AllToAll;
-    if (n == "nearest-neighbor" || n == "stencil")
-        return CommPattern::Halo;
-    return Status::invalidArgument(
-        "unknown comm pattern '", name,
-        "' (want halo, allreduce, or all-to-all)");
-}
-
-CommPattern
-commPatternFromName(const std::string &name)
-{
-    return unwrapOrFatal(tryCommPatternFromName(name));
-}
-
-const std::vector<CommPattern> &
-allCommPatterns()
-{
-    static const std::vector<CommPattern> all = {
-        CommPattern::Halo,
-        CommPattern::Allreduce,
-        CommPattern::AllToAll,
-    };
-    return all;
+    static const EnumNames<ScalingMode> names(
+        "scaling mode",
+        {{ScalingMode::Weak, "weak"}, {ScalingMode::Strong, "strong"}});
+    return names;
 }
 
 double

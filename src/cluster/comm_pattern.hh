@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "util/enum_names.hh"
 #include "util/status.hh"
 #include "workloads/kernel_profile.hh"
 
@@ -41,10 +42,26 @@ enum class CommPattern
     AllToAll,   ///< full personalized exchange (FFT transposes, sorting)
 };
 
-std::string commPatternName(CommPattern p);
-Expected<CommPattern> tryCommPatternFromName(const std::string &name);
-CommPattern commPatternFromName(const std::string &name);
-const std::vector<CommPattern> &allCommPatterns();
+/** Names "halo" / "allreduce" / "all-to-all", with aliases. */
+const EnumNames<CommPattern> &enumNames(CommPattern);
+
+inline std::string
+commPatternName(CommPattern p)
+{
+    return std::string(enumNames(p).name(p));
+}
+
+inline Expected<CommPattern>
+tryCommPatternFromName(const std::string &name)
+{
+    return enumNames(CommPattern{}).tryParse(name);
+}
+
+inline const std::vector<CommPattern> &
+allCommPatterns()
+{
+    return enumNames(CommPattern{}).all();
+}
 
 /** How the problem grows with the machine. */
 enum class ScalingMode
@@ -52,6 +69,9 @@ enum class ScalingMode
     Weak,    ///< per-node problem size fixed as nodes are added
     Strong,  ///< total problem size fixed; per-node share shrinks
 };
+
+/** Names "weak" / "strong". */
+const EnumNames<ScalingMode> &enumNames(ScalingMode);
 
 /** One scale-out communication scenario. */
 struct CommSpec

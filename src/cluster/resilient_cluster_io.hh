@@ -7,16 +7,8 @@
  * cluster.* for the fabric, cluster.ras.* for protection and
  * checkpointing) and be loaded by nodeConfigFromConfig,
  * clusterConfigFromConfig, and resilienceSpecFromConfig side by side.
- *
- * Recognized keys (all optional; defaults = ResilienceSpec{}):
- *
- *   cluster.ras.faults_enabled, cluster.ras.dram_ecc,
- *   cluster.ras.sram_ecc, cluster.ras.gpu_rmt,
- *   cluster.ras.ntc_ser_multiplier,
- *   cluster.ras.rmt_policy (off | opportunistic | full),
- *   cluster.ras.checkpoint_bytes, cluster.ras.io_bandwidth_bps,
- *   cluster.ras.checkpoint_overhead_s, cluster.ras.restart_extra_s,
- *   cluster.ras.checkpoint_via_fabric
+ * bindFields() below is the list of recognized keys (all optional;
+ * defaults = ResilienceSpec{}).
  *
  * Unknown "cluster.ras." keys are rejected to catch typos; keys
  * outside the prefix are ignored (they belong to the other layers).
@@ -31,82 +23,34 @@
 
 #include "cluster/resilient_cluster.hh"
 #include "util/config.hh"
+#include "util/config_fields.hh"
 #include "util/status.hh"
 
 namespace ena {
 
+/** The resiliency layer's config keys, one (key, member) pair each. */
+template <class F>
+void
+bindFields(ResilienceSpec &s, F &&f)
+{
+    f("cluster.ras.faults_enabled", s.faultsEnabled);
+    f("cluster.ras.dram_ecc", s.ras.dramEcc);
+    f("cluster.ras.sram_ecc", s.ras.sramEcc);
+    f("cluster.ras.gpu_rmt", s.ras.gpuRmt);
+    f("cluster.ras.ntc_ser_multiplier", s.ras.ntcSerMultiplier);
+    f("cluster.ras.rmt_policy", s.rmtPolicy);
+    f("cluster.ras.checkpoint_bytes", s.checkpoint.checkpointBytes);
+    f("cluster.ras.io_bandwidth_bps", s.checkpoint.ioBandwidthBps);
+    f("cluster.ras.checkpoint_overhead_s", s.checkpoint.overheadS);
+    f("cluster.ras.restart_extra_s", s.checkpoint.restartExtraS);
+    f("cluster.ras.checkpoint_via_fabric", s.checkpointViaFabric);
+}
+
 inline Expected<ResilienceSpec>
 tryResilienceSpecFromConfig(const Config &cfg)
 {
-    static const char *known[] = {
-        "cluster.ras.faults_enabled",
-        "cluster.ras.dram_ecc",
-        "cluster.ras.sram_ecc",
-        "cluster.ras.gpu_rmt",
-        "cluster.ras.ntc_ser_multiplier",
-        "cluster.ras.rmt_policy",
-        "cluster.ras.checkpoint_bytes",
-        "cluster.ras.io_bandwidth_bps",
-        "cluster.ras.checkpoint_overhead_s",
-        "cluster.ras.restart_extra_s",
-        "cluster.ras.checkpoint_via_fabric",
-    };
-    for (const std::string &key : cfg.keysWithPrefix("cluster.ras.")) {
-        bool ok = false;
-        for (const char *k : known)
-            ok = ok || key == k;
-        if (!ok) {
-            std::string where = cfg.origin(key);
-            return Status::invalidArgument(
-                "unknown resilience-config key '", key, "'",
-                where.empty() ? "" : " (" + where + ")");
-        }
-    }
-
-    ResilienceSpec s;
-    ENA_ASSIGN_OR_RETURN(
-        s.faultsEnabled,
-        cfg.tryGetBool("cluster.ras.faults_enabled", s.faultsEnabled));
-    ENA_ASSIGN_OR_RETURN(
-        s.ras.dramEcc,
-        cfg.tryGetBool("cluster.ras.dram_ecc", s.ras.dramEcc));
-    ENA_ASSIGN_OR_RETURN(
-        s.ras.sramEcc,
-        cfg.tryGetBool("cluster.ras.sram_ecc", s.ras.sramEcc));
-    ENA_ASSIGN_OR_RETURN(
-        s.ras.gpuRmt, cfg.tryGetBool("cluster.ras.gpu_rmt", s.ras.gpuRmt));
-    ENA_ASSIGN_OR_RETURN(
-        s.ras.ntcSerMultiplier,
-        cfg.tryGetDouble("cluster.ras.ntc_ser_multiplier",
-                         s.ras.ntcSerMultiplier));
-    ENA_ASSIGN_OR_RETURN(
-        std::string policy,
-        cfg.tryGetString("cluster.ras.rmt_policy",
-                         rmtPolicyName(s.rmtPolicy)));
-    ENA_ASSIGN_OR_RETURN(s.rmtPolicy, tryRmtPolicyFromName(policy));
-    ENA_ASSIGN_OR_RETURN(
-        s.checkpoint.checkpointBytes,
-        cfg.tryGetDouble("cluster.ras.checkpoint_bytes",
-                         s.checkpoint.checkpointBytes));
-    ENA_ASSIGN_OR_RETURN(
-        s.checkpoint.ioBandwidthBps,
-        cfg.tryGetDouble("cluster.ras.io_bandwidth_bps",
-                         s.checkpoint.ioBandwidthBps));
-    ENA_ASSIGN_OR_RETURN(
-        s.checkpoint.overheadS,
-        cfg.tryGetDouble("cluster.ras.checkpoint_overhead_s",
-                         s.checkpoint.overheadS));
-    ENA_ASSIGN_OR_RETURN(
-        s.checkpoint.restartExtraS,
-        cfg.tryGetDouble("cluster.ras.restart_extra_s",
-                         s.checkpoint.restartExtraS));
-    ENA_ASSIGN_OR_RETURN(
-        s.checkpointViaFabric,
-        cfg.tryGetBool("cluster.ras.checkpoint_via_fabric",
-                       s.checkpointViaFabric));
-
-    ENA_TRY(s.tryValidate());
-    return s;
+    return tryFieldsFromConfig<ResilienceSpec>(cfg, "resilience-config",
+                                               "cluster.ras.");
 }
 
 /** Legacy flavor: fatal() with the chained diagnostic on any error. */
@@ -121,19 +65,7 @@ resilienceSpecFromConfig(const Config &cfg)
 inline Config
 resilienceSpecToConfig(const ResilienceSpec &s)
 {
-    Config cfg;
-    cfg.set("cluster.ras.faults_enabled", s.faultsEnabled);
-    cfg.set("cluster.ras.dram_ecc", s.ras.dramEcc);
-    cfg.set("cluster.ras.sram_ecc", s.ras.sramEcc);
-    cfg.set("cluster.ras.gpu_rmt", s.ras.gpuRmt);
-    cfg.set("cluster.ras.ntc_ser_multiplier", s.ras.ntcSerMultiplier);
-    cfg.set("cluster.ras.rmt_policy", rmtPolicyName(s.rmtPolicy));
-    cfg.set("cluster.ras.checkpoint_bytes", s.checkpoint.checkpointBytes);
-    cfg.set("cluster.ras.io_bandwidth_bps", s.checkpoint.ioBandwidthBps);
-    cfg.set("cluster.ras.checkpoint_overhead_s", s.checkpoint.overheadS);
-    cfg.set("cluster.ras.restart_extra_s", s.checkpoint.restartExtraS);
-    cfg.set("cluster.ras.checkpoint_via_fabric", s.checkpointViaFabric);
-    return cfg;
+    return fieldsToConfig(s);
 }
 
 } // namespace ena

@@ -11,9 +11,13 @@
 #ifndef ENA_COMMON_NODE_CONFIG_HH
 #define ENA_COMMON_NODE_CONFIG_HH
 
+#include <climits>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "util/logging.hh"
+#include "util/stats_math.hh"
 #include "util/status.hh"
 #include "util/string_utils.hh"
 
@@ -158,6 +162,53 @@ struct NodeConfig
     /** Paper Section V baseline: best-mean config 320 / 1 GHz / 3 TB/s. */
     static NodeConfig bestMean() { return {}; }
 };
+
+/** The points of a one-knob parameter sweep (sweep_tool, server). */
+struct AxisSweep
+{
+    std::vector<double> values;      ///< trySweepAxisValues(from, to, step)
+    std::vector<NodeConfig> configs; ///< base with the knob set to each
+};
+
+/**
+ * Sweep @p base along @p axis ("cus" | "freq" | "bw") over
+ * trySweepAxisValues(@p from, @p to, @p step). invalid_argument for
+ * any other axis; out_of_range for a bad range, a "cus" value outside
+ * [1, INT_MAX] (checked before the conversion to int), or a point
+ * that fails NodeConfig::tryValidate.
+ */
+inline Expected<AxisSweep>
+trySweepAxis(const NodeConfig &base, std::string_view axis, double from,
+             double to, double step)
+{
+    if (axis != "cus" && axis != "freq" && axis != "bw") {
+        return Status::invalidArgument("unknown sweep axis '", axis,
+                                       "' (want cus, freq, or bw)");
+    }
+    AxisSweep sweep;
+    ENA_ASSIGN_OR_RETURN(sweep.values, trySweepAxisValues(from, to, step));
+    sweep.configs.reserve(sweep.values.size());
+    for (std::size_t i = 0; i < sweep.values.size(); ++i) {
+        const double v = sweep.values[i];
+        NodeConfig cfg = base;
+        if (axis == "cus") {
+            if (!(v >= 1.0 && v <= INT_MAX)) {
+                return Status::outOfRange("sweep point ", i, ": cus value ",
+                                          v, " is outside [1, ", INT_MAX,
+                                          "]");
+            }
+            cfg.cus = static_cast<int>(v);
+        } else if (axis == "freq") {
+            cfg.freqGhz = v;
+        } else {
+            cfg.bwTbs = v;
+        }
+        ENA_TRY(cfg.tryValidate().withContext("sweep point ", i,
+                                              " (value ", v, ")"));
+        sweep.configs.push_back(cfg);
+    }
+    return sweep;
+}
 
 } // namespace ena
 

@@ -4,54 +4,17 @@
 
 #include "util/logging.hh"
 #include "util/stats_math.hh"
-#include "util/string_utils.hh"
 
 namespace ena {
 
-std::string
-rmtPolicyName(RmtPolicy p)
+const EnumNames<RmtPolicy> &
+enumNames(RmtPolicy)
 {
-    switch (p) {
-      case RmtPolicy::Off:
-        return "off";
-      case RmtPolicy::Opportunistic:
-        return "opportunistic";
-      case RmtPolicy::Full:
-        return "full";
-    }
-    ENA_FATAL("unknown RmtPolicy ", static_cast<int>(p));
-}
-
-Expected<RmtPolicy>
-tryRmtPolicyFromName(const std::string &name)
-{
-    std::string n = toLower(name);
-    for (RmtPolicy p : allRmtPolicies()) {
-        if (n == rmtPolicyName(p))
-            return p;
-    }
-    if (n == "none" || n == "disabled")
-        return RmtPolicy::Off;
-    return Status::invalidArgument(
-        "unknown RMT policy '", name,
-        "' (want off, opportunistic, or full)");
-}
-
-RmtPolicy
-rmtPolicyFromName(const std::string &name)
-{
-    return unwrapOrFatal(tryRmtPolicyFromName(name));
-}
-
-const std::vector<RmtPolicy> &
-allRmtPolicies()
-{
-    static const std::vector<RmtPolicy> all = {
-        RmtPolicy::Off,
-        RmtPolicy::Opportunistic,
-        RmtPolicy::Full,
-    };
-    return all;
+    static const EnumNames<RmtPolicy> names(
+        "RMT policy", {{RmtPolicy::Off, "off", {"none", "disabled"}},
+                       {RmtPolicy::Opportunistic, "opportunistic"},
+                       {RmtPolicy::Full, "full"}});
+    return names;
 }
 
 RmtModel::RmtModel(double compare_overhead)

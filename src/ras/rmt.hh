@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/activity.hh"
+#include "util/enum_names.hh"
 #include "util/status.hh"
 
 namespace ena {
@@ -39,17 +40,28 @@ enum class RmtPolicy
     Full,
 };
 
-/** Display name ("off" / "opportunistic" / "full"). */
-std::string rmtPolicyName(RmtPolicy p);
+/** Names "off" / "opportunistic" / "full", with aliases. */
+const EnumNames<RmtPolicy> &enumNames(RmtPolicy);
 
-/** Parse a policy name (case-insensitive). */
-Expected<RmtPolicy> tryRmtPolicyFromName(const std::string &name);
+inline std::string
+rmtPolicyName(RmtPolicy p)
+{
+    return std::string(enumNames(p).name(p));
+}
 
-/** Parse a policy name (case-insensitive); fatal() on unknown. */
-RmtPolicy rmtPolicyFromName(const std::string &name);
+/** Parse a policy name or alias (case-insensitive). */
+inline Expected<RmtPolicy>
+tryRmtPolicyFromName(const std::string &name)
+{
+    return enumNames(RmtPolicy{}).tryParse(name);
+}
 
 /** All policies, in enum order. */
-const std::vector<RmtPolicy> &allRmtPolicies();
+inline const std::vector<RmtPolicy> &
+allRmtPolicies()
+{
+    return enumNames(RmtPolicy{}).all();
+}
 
 struct RmtOutcome
 {

@@ -90,28 +90,29 @@ nodeConfigJson(const NodeConfig &cfg)
     return o;
 }
 
+/** An enum-valued parameter, read through the enum's name table. */
+template <class E>
+Expected<E>
+enumFromRequest(const JsonValue &req, const char *key, E dflt)
+{
+    ENA_ASSIGN_OR_RETURN(
+        std::string name,
+        wire::tryGetString(req, key,
+                           std::string(enumNames(dflt).name(dflt))));
+    return enumNames(dflt).tryParse(name);
+}
+
 Expected<CommSpec>
 commSpecFromRequest(const JsonValue &req)
 {
     CommSpec spec;
-    ENA_ASSIGN_OR_RETURN(
-        std::string pattern,
-        wire::tryGetString(req, "pattern",
-                           commPatternName(spec.pattern)));
-    ENA_ASSIGN_OR_RETURN(spec.pattern, tryCommPatternFromName(pattern));
+    ENA_ASSIGN_OR_RETURN(spec.pattern,
+                         enumFromRequest(req, "pattern", spec.pattern));
     ENA_ASSIGN_OR_RETURN(
         spec.intensity,
         wire::tryGetNumber(req, "intensity", spec.intensity));
-    ENA_ASSIGN_OR_RETURN(std::string scaling,
-                         wire::tryGetString(req, "scaling", "weak"));
-    if (scaling == "weak") {
-        spec.scaling = ScalingMode::Weak;
-    } else if (scaling == "strong") {
-        spec.scaling = ScalingMode::Strong;
-    } else {
-        return Status::invalidArgument("bad scaling '", scaling,
-                                       "' (want weak | strong)");
-    }
+    ENA_ASSIGN_OR_RETURN(spec.scaling,
+                         enumFromRequest(req, "scaling", spec.scaling));
     ENA_ASSIGN_OR_RETURN(spec.syncsPerSecond,
                          wire::tryGetNumber(req, "syncs_per_second",
                                             spec.syncsPerSecond));
@@ -299,48 +300,28 @@ EvalService::opSweep(const wire::JsonValue &req)
     ENA_ASSIGN_OR_RETURN(double from, wire::tryGetNumber(req, "from"));
     ENA_ASSIGN_OR_RETURN(double to, wire::tryGetNumber(req, "to"));
     ENA_ASSIGN_OR_RETURN(double step, wire::tryGetNumber(req, "step"));
-    if (axis != "cus" && axis != "freq" && axis != "bw") {
-        return Status::invalidArgument("bad axis '", axis,
-                                       "' (want cus | freq | bw)");
-    }
-    // sweep_tool's axis enumeration, so a server-side sweep reproduces
-    // the local CLI point-for-point.
-    ENA_ASSIGN_OR_RETURN(std::vector<double> values,
-                         trySweepAxisValues(from, to, step));
-
     ENA_ASSIGN_OR_RETURN(Config cfgText, configFromRequest(req));
     ENA_ASSIGN_OR_RETURN(NodeConfig base,
                          tryNodeConfigFromConfig(cfgText));
-
-    std::vector<NodeConfig> configs(values.size());
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        NodeConfig cfg = base;
-        if (axis == "cus")
-            cfg.cus = static_cast<int>(values[i]);
-        else if (axis == "freq")
-            cfg.freqGhz = values[i];
-        else
-            cfg.bwTbs = values[i];
-        ENA_TRY(cfg.tryValidate().withContext("sweep point ", i,
-                                              " (value ", values[i],
-                                              ")"));
-        configs[i] = cfg;
-    }
+    // sweep_tool's axis enumeration, so a server-side sweep reproduces
+    // the local CLI point-for-point.
+    ENA_ASSIGN_OR_RETURN(AxisSweep sweep,
+                         trySweepAxis(base, axis, from, to, step));
 
     // One pool task per point through the process-wide memo. Pool
     // tasks are where ENA_FAULT_INJECT strikes; the pool's retry policy
     // absorbs transient faults without perturbing results.
     EvalMemoCache &memo = EvalMemoCache::sharedInstance();
-    const std::size_t n = values.size();
+    const std::size_t n = sweep.values.size();
     std::vector<EvalResult> results = parallel_map(
         n, [&](std::size_t i) {
-            return eval_.evaluateMemo(configs[i], app, memo);
+            return eval_.evaluateMemo(sweep.configs[i], app, memo);
         });
 
     JsonValue points = JsonValue::array();
     for (std::size_t i = 0; i < n; ++i) {
-        JsonValue p = evalResultJson(configs[i], results[i]);
-        p.set("value", values[i]);
+        JsonValue p = evalResultJson(sweep.configs[i], results[i]);
+        p.set("value", sweep.values[i]);
         points.push(std::move(p));
     }
     JsonValue r = JsonValue::object();
@@ -473,11 +454,8 @@ EvalService::opTaskGraphEval(const wire::JsonValue &req)
     ENA_ASSIGN_OR_RETURN(TaskGraphSpec spec,
                          tryTaskGraphSpecFromConfig(cfgText));
     ENA_ASSIGN_OR_RETURN(
-        std::string sched,
-        wire::tryGetString(req, "scheduler",
-                           dagSchedulerName(DagScheduler::CriticalPath)));
-    ENA_ASSIGN_OR_RETURN(DagScheduler policy,
-                         tryDagSchedulerFromName(sched));
+        DagScheduler policy,
+        enumFromRequest(req, "scheduler", DagScheduler::CriticalPath));
     ENA_TRY(node.tryValidate());
     ENA_TRY(cluster.tryValidate());
 

@@ -6,7 +6,6 @@
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
 #include "util/logging.hh"
-#include "util/string_utils.hh"
 
 namespace ena {
 
@@ -40,48 +39,16 @@ scheduleLatencyHistogram()
 
 } // anonymous namespace
 
-std::string
-dagSchedulerName(DagScheduler s)
+const EnumNames<DagScheduler> &
+enumNames(DagScheduler)
 {
-    switch (s) {
-      case DagScheduler::CriticalPath:
-        return "critical-path";
-      case DagScheduler::MinMin:
-        return "min-min";
-      case DagScheduler::RoundRobin:
-        return "round-robin";
-    }
-    ENA_FATAL("unknown DagScheduler ", static_cast<int>(s));
-}
-
-Expected<DagScheduler>
-tryDagSchedulerFromName(const std::string &name)
-{
-    std::string n = toLower(name);
-    for (DagScheduler s : allDagSchedulers()) {
-        if (n == dagSchedulerName(s))
-            return s;
-    }
-    if (n == "cp" || n == "heft" || n == "critical_path")
-        return DagScheduler::CriticalPath;
-    if (n == "minmin" || n == "min_min")
-        return DagScheduler::MinMin;
-    if (n == "rr" || n == "round_robin")
-        return DagScheduler::RoundRobin;
-    return Status::invalidArgument(
-        "unknown scheduler '", name,
-        "' (want critical-path, min-min, or round-robin)");
-}
-
-const std::vector<DagScheduler> &
-allDagSchedulers()
-{
-    static const std::vector<DagScheduler> all = {
-        DagScheduler::CriticalPath,
-        DagScheduler::MinMin,
-        DagScheduler::RoundRobin,
-    };
-    return all;
+    static const EnumNames<DagScheduler> names(
+        "scheduler",
+        {{DagScheduler::CriticalPath, "critical-path",
+          {"cp", "heft", "critical_path"}},
+         {DagScheduler::MinMin, "min-min", {"minmin", "min_min"}},
+         {DagScheduler::RoundRobin, "round-robin", {"rr", "round_robin"}}});
+    return names;
 }
 
 double

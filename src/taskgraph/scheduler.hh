@@ -50,14 +50,28 @@ enum class DagScheduler
     RoundRobin,    ///< node = task id mod N baseline
 };
 
-/** Display name ("critical-path", "min-min", "round-robin"). */
-std::string dagSchedulerName(DagScheduler s);
+/** Names "critical-path" / "min-min" / "round-robin", with aliases. */
+const EnumNames<DagScheduler> &enumNames(DagScheduler);
 
-/** Parse a scheduler name (case-insensitive). */
-Expected<DagScheduler> tryDagSchedulerFromName(const std::string &name);
+inline std::string
+dagSchedulerName(DagScheduler s)
+{
+    return std::string(enumNames(s).name(s));
+}
+
+/** Parse a scheduler name or alias (case-insensitive). */
+inline Expected<DagScheduler>
+tryDagSchedulerFromName(const std::string &name)
+{
+    return enumNames(DagScheduler{}).tryParse(name);
+}
 
 /** All schedulers, in enum order. */
-const std::vector<DagScheduler> &allDagSchedulers();
+inline const std::vector<DagScheduler> &
+allDagSchedulers()
+{
+    return enumNames(DagScheduler{}).all();
+}
 
 /**
  * Everything the schedulers need to price a schedule: seconds per task

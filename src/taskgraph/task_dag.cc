@@ -8,57 +8,19 @@
 
 namespace ena {
 
-std::string
-dagShapeName(DagShape s)
+const EnumNames<DagShape> &
+enumNames(DagShape)
 {
-    switch (s) {
-      case DagShape::Wavefront:
-        return "wavefront";
-      case DagShape::StencilHalo:
-        return "stencil-halo";
-      case DagShape::ForkJoin:
-        return "fork-join";
-      case DagShape::ReductionTree:
-        return "reduction-tree";
-      case DagShape::RandomLayered:
-        return "random-layered";
-    }
-    ENA_FATAL("unknown DagShape ", static_cast<int>(s));
-}
-
-Expected<DagShape>
-tryDagShapeFromName(const std::string &name)
-{
-    std::string n = toLower(name);
-    for (DagShape s : allDagShapes()) {
-        if (n == dagShapeName(s))
-            return s;
-    }
-    if (n == "sweep")
-        return DagShape::Wavefront;
-    if (n == "stencil" || n == "halo")
-        return DagShape::StencilHalo;
-    if (n == "forkjoin" || n == "fork_join")
-        return DagShape::ForkJoin;
-    if (n == "reduction" || n == "tree")
-        return DagShape::ReductionTree;
-    if (n == "random" || n == "random_layered")
-        return DagShape::RandomLayered;
-    return Status::invalidArgument(
-        "unknown DAG shape '", name,
-        "' (want wavefront, stencil-halo, fork-join, reduction-tree, "
-        "or random-layered)");
-}
-
-const std::vector<DagShape> &
-allDagShapes()
-{
-    static const std::vector<DagShape> all = {
-        DagShape::Wavefront,     DagShape::StencilHalo,
-        DagShape::ForkJoin,      DagShape::ReductionTree,
-        DagShape::RandomLayered,
-    };
-    return all;
+    static const EnumNames<DagShape> names(
+        "DAG shape",
+        {{DagShape::Wavefront, "wavefront", {"sweep"}},
+         {DagShape::StencilHalo, "stencil-halo", {"stencil", "halo"}},
+         {DagShape::ForkJoin, "fork-join", {"forkjoin", "fork_join"}},
+         {DagShape::ReductionTree, "reduction-tree",
+          {"reduction", "tree"}},
+         {DagShape::RandomLayered, "random-layered",
+          {"random", "random_layered"}}});
+    return names;
 }
 
 TaskId

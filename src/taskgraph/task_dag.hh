@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "util/enum_names.hh"
 #include "util/status.hh"
 #include "workloads/kernel_profile.hh"
 
@@ -45,14 +46,28 @@ enum class DagShape
     RandomLayered,  ///< seeded random edges between adjacent layers
 };
 
-/** Display name ("wavefront", "stencil-halo", ...). */
-std::string dagShapeName(DagShape s);
+/** Names "wavefront", "stencil-halo", ..., with aliases. */
+const EnumNames<DagShape> &enumNames(DagShape);
 
-/** Parse a shape name (case-insensitive). */
-Expected<DagShape> tryDagShapeFromName(const std::string &name);
+inline std::string
+dagShapeName(DagShape s)
+{
+    return std::string(enumNames(s).name(s));
+}
+
+/** Parse a shape name or alias (case-insensitive). */
+inline Expected<DagShape>
+tryDagShapeFromName(const std::string &name)
+{
+    return enumNames(DagShape{}).tryParse(name);
+}
 
 /** All generator shapes, in enum order. */
-const std::vector<DagShape> &allDagShapes();
+inline const std::vector<DagShape> &
+allDagShapes()
+{
+    return enumNames(DagShape{}).all();
+}
 
 /** One edge endpoint: the peer task and the bytes moved on the edge. */
 struct DagEdge

@@ -1,5 +1,6 @@
 #include "util/config.hh"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <set>
@@ -80,10 +81,16 @@ Config::set(const std::string &key, const std::string &value)
 void
 Config::set(const std::string &key, double value)
 {
-    std::ostringstream os;
-    os.precision(15);
-    os << value;
-    values_[key] = Entry{os.str(), ""};
+    // 15 digits is the historical form; keep it wherever it is exact so
+    // config text that was already lossless does not change.
+    char buf[32];
+    auto r = std::to_chars(buf, buf + sizeof buf, value,
+                           std::chars_format::general, 15);
+    double back = 0.0;
+    std::from_chars(buf, r.ptr, back);
+    if (back != value)
+        r = std::to_chars(buf, buf + sizeof buf, value);
+    values_[key] = Entry{std::string(buf, r.ptr), ""};
 }
 
 void
@@ -105,36 +112,37 @@ Config::set(const std::string &key, bool value)
 }
 
 bool
-Config::has(const std::string &key) const
+Config::has(std::string_view key) const
 {
-    return values_.count(key) > 0;
+    return lookup(key) != nullptr;
 }
 
 const Config::Entry *
-Config::lookup(const std::string &key) const
+Config::lookup(std::string_view key) const
 {
     auto it = values_.find(key);
     return it == values_.end() ? nullptr : &it->second;
 }
 
 std::string
-Config::describeKey(const std::string &key) const
+Config::describeKey(std::string_view key) const
 {
     const Entry *e = lookup(key);
+    std::string out = "'" + std::string(key) + "'";
     if (e && !e->origin.empty())
-        return "'" + key + "' (" + e->origin + ")";
-    return "'" + key + "'";
+        out += " (" + e->origin + ")";
+    return out;
 }
 
 std::string
-Config::origin(const std::string &key) const
+Config::origin(std::string_view key) const
 {
     const Entry *e = lookup(key);
     return e ? e->origin : "";
 }
 
 Expected<std::string>
-Config::tryGetString(const std::string &key) const
+Config::tryGetString(std::string_view key) const
 {
     const Entry *e = lookup(key);
     if (!e)
@@ -143,7 +151,7 @@ Config::tryGetString(const std::string &key) const
 }
 
 Expected<std::string>
-Config::tryGetString(const std::string &key,
+Config::tryGetString(std::string_view key,
                      const std::string &dflt) const
 {
     const Entry *e = lookup(key);
@@ -151,7 +159,7 @@ Config::tryGetString(const std::string &key,
 }
 
 Expected<double>
-Config::tryGetDouble(const std::string &key) const
+Config::tryGetDouble(std::string_view key) const
 {
     const Entry *e = lookup(key);
     if (!e)
@@ -170,7 +178,7 @@ Config::tryGetDouble(const std::string &key) const
 }
 
 Expected<double>
-Config::tryGetDouble(const std::string &key, double dflt) const
+Config::tryGetDouble(std::string_view key, double dflt) const
 {
     if (!lookup(key))
         return dflt;
@@ -178,7 +186,7 @@ Config::tryGetDouble(const std::string &key, double dflt) const
 }
 
 Expected<long long>
-Config::tryGetInt(const std::string &key) const
+Config::tryGetInt(std::string_view key) const
 {
     const Entry *e = lookup(key);
     if (!e)
@@ -192,7 +200,7 @@ Config::tryGetInt(const std::string &key) const
 }
 
 Expected<long long>
-Config::tryGetInt(const std::string &key, long long dflt) const
+Config::tryGetInt(std::string_view key, long long dflt) const
 {
     if (!lookup(key))
         return dflt;
@@ -200,7 +208,7 @@ Config::tryGetInt(const std::string &key, long long dflt) const
 }
 
 Expected<bool>
-Config::tryGetBool(const std::string &key) const
+Config::tryGetBool(std::string_view key) const
 {
     const Entry *e = lookup(key);
     if (!e)
@@ -214,70 +222,11 @@ Config::tryGetBool(const std::string &key) const
 }
 
 Expected<bool>
-Config::tryGetBool(const std::string &key, bool dflt) const
+Config::tryGetBool(std::string_view key, bool dflt) const
 {
     if (!lookup(key))
         return dflt;
     return tryGetBool(key);
-}
-
-std::string
-Config::getString(const std::string &key) const
-{
-    return unwrapOrFatal(tryGetString(key));
-}
-
-std::string
-Config::getString(const std::string &key, const std::string &dflt) const
-{
-    return unwrapOrFatal(tryGetString(key, dflt));
-}
-
-double
-Config::getDouble(const std::string &key) const
-{
-    return unwrapOrFatal(tryGetDouble(key));
-}
-
-double
-Config::getDouble(const std::string &key, double dflt) const
-{
-    return unwrapOrFatal(tryGetDouble(key, dflt));
-}
-
-long long
-Config::getInt(const std::string &key) const
-{
-    return unwrapOrFatal(tryGetInt(key));
-}
-
-long long
-Config::getInt(const std::string &key, long long dflt) const
-{
-    return unwrapOrFatal(tryGetInt(key, dflt));
-}
-
-bool
-Config::getBool(const std::string &key) const
-{
-    return unwrapOrFatal(tryGetBool(key));
-}
-
-bool
-Config::getBool(const std::string &key, bool dflt) const
-{
-    return unwrapOrFatal(tryGetBool(key, dflt));
-}
-
-std::vector<std::string>
-Config::keysWithPrefix(const std::string &prefix) const
-{
-    std::vector<std::string> out;
-    for (const auto &[k, v] : values_) {
-        if (startsWith(k, prefix))
-            out.push_back(k);
-    }
-    return out;
 }
 
 void

@@ -9,16 +9,20 @@
  *
  * Errors are values: the try* entry points return ena::Status /
  * ena::Expected with precise source:line/key diagnostics, so a sweep
- * can quarantine one bad config instead of dying. The fatal() flavors
- * are thin wrappers over them, kept for CLI compatibility. Parsing
- * tracks each key's origin ("file.ini:12") and warns once per key on
- * duplicates (last occurrence wins); typed numeric accessors reject
- * NaN/inf and trailing garbage ("3.0x").
+ * can quarantine one bad config instead of dying. Parsing tracks each
+ * key's origin ("file.ini:12") and warns once per key on duplicates
+ * (last occurrence wins); typed numeric accessors reject NaN/inf,
+ * out-of-range integers and trailing garbage ("3.0x"). set(double)
+ * writes a form that reads back to the same bits.
+ *
+ * Struct-level readers and writers are declared once per struct
+ * through the field codec in util/config_fields.hh.
  */
 
 #ifndef ENA_UTIL_CONFIG_HH
 #define ENA_UTIL_CONFIG_HH
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -50,7 +54,11 @@ class Config
     /** Load from a file; fatal() if unreadable or malformed. */
     static Config fromFile(const std::string &path);
 
-    /** Set (or overwrite) a key. */
+    /**
+     * Set (or overwrite) a key. Doubles are written with 15 significant
+     * digits when that is exact ("0.1" stays "0.1"), otherwise in the
+     * shortest form that reads back to the same bits.
+     */
     void set(const std::string &key, const std::string &value);
     void set(const std::string &key, double value);
     void set(const std::string &key, long long value);
@@ -58,7 +66,7 @@ class Config
     void set(const std::string &key, bool value);
 
     /** True if the key exists. */
-    bool has(const std::string &key) const;
+    bool has(std::string_view key) const;
 
     /**
      * Typed accessors, recoverable flavor. The no-default forms return
@@ -68,35 +76,34 @@ class Config
      * key is absent but still report a present-but-bad value.
      * Diagnostics carry the key and its source:line origin.
      */
-    Expected<std::string> tryGetString(const std::string &key) const;
-    Expected<std::string> tryGetString(const std::string &key,
+    Expected<std::string> tryGetString(std::string_view key) const;
+    Expected<std::string> tryGetString(std::string_view key,
                                        const std::string &dflt) const;
-    Expected<double> tryGetDouble(const std::string &key) const;
-    Expected<double> tryGetDouble(const std::string &key,
-                                  double dflt) const;
-    Expected<long long> tryGetInt(const std::string &key) const;
-    Expected<long long> tryGetInt(const std::string &key,
+    Expected<double> tryGetDouble(std::string_view key) const;
+    Expected<double> tryGetDouble(std::string_view key, double dflt) const;
+    Expected<long long> tryGetInt(std::string_view key) const;
+    Expected<long long> tryGetInt(std::string_view key,
                                   long long dflt) const;
-    Expected<bool> tryGetBool(const std::string &key) const;
-    Expected<bool> tryGetBool(const std::string &key, bool dflt) const;
+    Expected<bool> tryGetBool(std::string_view key) const;
+    Expected<bool> tryGetBool(std::string_view key, bool dflt) const;
 
     /**
-     * Typed accessors, legacy flavor: thin fatal() wrappers over the
-     * try* forms above (same diagnostics, process exit instead of a
-     * Status).
+     * Call @p f(key) for each key with the given prefix (e.g.
+     * "extmem."), in sorted order, stopping at (and returning) the
+     * first error it returns.
      */
-    std::string getString(const std::string &key) const;
-    std::string getString(const std::string &key,
-                          const std::string &dflt) const;
-    double getDouble(const std::string &key) const;
-    double getDouble(const std::string &key, double dflt) const;
-    long long getInt(const std::string &key) const;
-    long long getInt(const std::string &key, long long dflt) const;
-    bool getBool(const std::string &key) const;
-    bool getBool(const std::string &key, bool dflt) const;
-
-    /** All keys with the given prefix (e.g. "extmem."). */
-    std::vector<std::string> keysWithPrefix(const std::string &prefix) const;
+    template <class F>
+    Status
+    forEachKey(std::string_view prefix, F &&f) const
+    {
+        for (auto it = values_.lower_bound(prefix);
+             it != values_.end() &&
+             std::string_view(it->first).substr(0, prefix.size()) ==
+                 prefix;
+             ++it)
+            ENA_TRY(f(std::string_view(it->first)));
+        return Status();
+    }
 
     /** Merge @p other into this config; other's values win. */
     void merge(const Config &other);
@@ -108,7 +115,10 @@ class Config
      * Where a key was parsed from ("cfg.ini:12"); empty for keys added
      * via set()/merge or when unknown. Used in diagnostics.
      */
-    std::string origin(const std::string &key) const;
+    std::string origin(std::string_view key) const;
+
+    /** "'key'" or "'key' (cfg.ini:12)" for diagnostics. */
+    std::string describeKey(std::string_view key) const;
 
     size_t size() const { return values_.size(); }
 
@@ -119,12 +129,9 @@ class Config
         std::string origin;   ///< "source:line" when parsed from text
     };
 
-    const Entry *lookup(const std::string &key) const;
+    const Entry *lookup(std::string_view key) const;
 
-    /** "'key'" or "'key' (cfg.ini:12)" for diagnostics. */
-    std::string describeKey(const std::string &key) const;
-
-    std::map<std::string, Entry> values_;
+    std::map<std::string, Entry, std::less<>> values_;
 };
 
 } // namespace ena

@@ -30,6 +30,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "util/logging.hh"
@@ -64,6 +65,17 @@ errorCodeName(ErrorCode c)
       case ErrorCode::Internal: return "internal";
     }
     return "unknown";
+}
+
+/** Inverse of errorCodeName(); Internal for names it does not know. */
+inline ErrorCode
+errorCodeFromName(std::string_view name)
+{
+    for (int c = 0; c <= static_cast<int>(ErrorCode::Internal); ++c) {
+        if (name == errorCodeName(static_cast<ErrorCode>(c)))
+            return static_cast<ErrorCode>(c);
+    }
+    return ErrorCode::Internal;
 }
 
 /**

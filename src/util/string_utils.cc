@@ -1,6 +1,7 @@
 #include "util/string_utils.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -65,8 +66,23 @@ parseInt(std::string_view s)
     if (t.empty())
         return std::nullopt;
     char *end = nullptr;
+    errno = 0;
     long long v = std::strtoll(t.c_str(), &end, 0);
-    if (end != t.c_str() + t.size())
+    if (end != t.c_str() + t.size() || errno == ERANGE)
+        return std::nullopt;
+    return v;
+}
+
+std::optional<std::uint64_t>
+parseUint(std::string_view s)
+{
+    std::string t = trim(s);
+    if (t.empty() || t[0] == '-')
+        return std::nullopt;
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(t.c_str(), &end, 0);
+    if (end != t.c_str() + t.size() || errno == ERANGE)
         return std::nullopt;
     return v;
 }

@@ -7,6 +7,7 @@
 #ifndef ENA_UTIL_STRING_UTILS_HH
 #define ENA_UTIL_STRING_UTILS_HH
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -26,8 +27,14 @@ std::string toLower(std::string_view s);
 /** Parse a double, returning nullopt on malformed input. */
 std::optional<double> parseDouble(std::string_view s);
 
-/** Parse a signed 64-bit integer, returning nullopt on malformed input. */
+/**
+ * Parse a signed 64-bit integer, returning nullopt on malformed input
+ * or a value outside the 64-bit range.
+ */
 std::optional<long long> parseInt(std::string_view s);
+
+/** Parse an unsigned 64-bit integer; nullopt if negative or malformed. */
+std::optional<std::uint64_t> parseUint(std::string_view s);
 
 /** Parse a boolean ("true"/"false"/"1"/"0"/"yes"/"no"). */
 std::optional<bool> parseBool(std::string_view s);

@@ -3,7 +3,6 @@
 #include <array>
 
 #include "util/logging.hh"
-#include "util/string_utils.hh"
 
 namespace ena {
 
@@ -109,50 +108,19 @@ const std::array<KernelProfile, 8> profiles = {{
 
 } // anonymous namespace
 
-const std::vector<App> &
-allApps()
+const EnumNames<App> &
+enumNames(App)
 {
-    static const std::vector<App> apps = {
-        App::MaxFlops, App::CoMD,    App::CoMDLJ,  App::HPGMG,
-        App::LULESH,   App::MiniAMR, App::XSBench, App::SNAP,
-    };
-    return apps;
-}
-
-std::string
-appName(App app)
-{
-    switch (app) {
-      case App::MaxFlops: return "MaxFlops";
-      case App::CoMD: return "CoMD";
-      case App::CoMDLJ: return "CoMD-LJ";
-      case App::HPGMG: return "HPGMG";
-      case App::LULESH: return "LULESH";
-      case App::MiniAMR: return "MiniAMR";
-      case App::XSBench: return "XSBench";
-      case App::SNAP: return "SNAP";
-    }
-    ENA_PANIC("unknown App enum value");
-}
-
-Expected<App>
-tryAppFromName(const std::string &name)
-{
-    std::string n = toLower(name);
-    for (App a : allApps()) {
-        if (toLower(appName(a)) == n)
-            return a;
-    }
-    // Accept the underscore spelling of CoMD-LJ as well.
-    if (n == "comd_lj" || n == "comdlj")
-        return App::CoMDLJ;
-    return Status::invalidArgument("unknown application '", name, "'");
-}
-
-App
-appFromName(const std::string &name)
-{
-    return unwrapOrFatal(tryAppFromName(name));
+    static const EnumNames<App> names(
+        "application", {{App::MaxFlops, "MaxFlops"},
+                        {App::CoMD, "CoMD"},
+                        {App::CoMDLJ, "CoMD-LJ", {"comd_lj", "comdlj"}},
+                        {App::HPGMG, "HPGMG"},
+                        {App::LULESH, "LULESH"},
+                        {App::MiniAMR, "MiniAMR"},
+                        {App::XSBench, "XSBench"},
+                        {App::SNAP, "SNAP"}});
+    return names;
 }
 
 std::string

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "util/enum_names.hh"
 #include "util/status.hh"
 
 namespace ena {
@@ -42,17 +43,36 @@ enum class AppCategory
     MemoryIntensive,
 };
 
+/** Display names ("CoMD-LJ"), in the paper's Table I order. */
+const EnumNames<App> &enumNames(App);
+
 /** All eight applications, in the paper's Table I order. */
-const std::vector<App> &allApps();
+inline const std::vector<App> &
+allApps()
+{
+    return enumNames(App{}).all();
+}
 
 /** Short display name ("CoMD-LJ"). */
-std::string appName(App app);
+inline std::string
+appName(App app)
+{
+    return std::string(enumNames(app).name(app));
+}
 
 /** Parse an application name (case-insensitive). */
-Expected<App> tryAppFromName(const std::string &name);
+inline Expected<App>
+tryAppFromName(const std::string &name)
+{
+    return enumNames(App{}).tryParse(name);
+}
 
 /** Parse an application name (case-insensitive); fatal() on unknown. */
-App appFromName(const std::string &name);
+inline App
+appFromName(const std::string &name)
+{
+    return unwrapOrFatal(tryAppFromName(name));
+}
 
 std::string categoryName(AppCategory c);
 

@@ -36,21 +36,21 @@ TEST(ClusterConfig, LabelNamesTheMachine)
 TEST(ClusterConfig, TopologyNamesRoundTrip)
 {
     for (ClusterTopology t : allClusterTopologies())
-        EXPECT_EQ(clusterTopologyFromName(clusterTopologyName(t)), t);
+        EXPECT_EQ(*tryClusterTopologyFromName(clusterTopologyName(t)), t);
     // Case-insensitive, with a few aliases.
-    EXPECT_EQ(clusterTopologyFromName("Fat-Tree"),
+    EXPECT_EQ(*tryClusterTopologyFromName("Fat-Tree"),
               ClusterTopology::FatTree);
-    EXPECT_EQ(clusterTopologyFromName("fattree"),
+    EXPECT_EQ(*tryClusterTopologyFromName("fattree"),
               ClusterTopology::FatTree);
-    EXPECT_EQ(clusterTopologyFromName("DRAGONFLY"),
+    EXPECT_EQ(*tryClusterTopologyFromName("DRAGONFLY"),
               ClusterTopology::Dragonfly);
-    EXPECT_EQ(clusterTopologyFromName("torus"),
+    EXPECT_EQ(*tryClusterTopologyFromName("torus"),
               ClusterTopology::Torus3D);
 }
 
 TEST(ClusterConfigDeathTest, UnknownTopologyIsFatal)
 {
-    EXPECT_EXIT(clusterTopologyFromName("hypercube"),
+    EXPECT_EXIT(unwrapOrFatal(tryClusterTopologyFromName("hypercube")),
                 testing::ExitedWithCode(1), "unknown cluster topology");
 }
 

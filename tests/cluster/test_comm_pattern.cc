@@ -30,15 +30,16 @@ defaultNet(int nodes = 100000)
 TEST(CommPattern, NamesRoundTrip)
 {
     for (CommPattern p : allCommPatterns())
-        EXPECT_EQ(commPatternFromName(commPatternName(p)), p);
-    EXPECT_EQ(commPatternFromName("a2a"), CommPattern::AllToAll);
-    EXPECT_EQ(commPatternFromName("ALLTOALL"), CommPattern::AllToAll);
-    EXPECT_EQ(commPatternFromName("stencil"), CommPattern::Halo);
+        EXPECT_EQ(*tryCommPatternFromName(commPatternName(p)), p);
+    EXPECT_EQ(*tryCommPatternFromName("a2a"), CommPattern::AllToAll);
+    EXPECT_EQ(*tryCommPatternFromName("ALLTOALL"), CommPattern::AllToAll);
+    EXPECT_EQ(*tryCommPatternFromName("stencil"), CommPattern::Halo);
 }
 
 TEST(CommPatternDeathTest, UnknownNameIsFatal)
 {
-    EXPECT_EXIT(commPatternFromName("gossip"), testing::ExitedWithCode(1),
+    EXPECT_EXIT(unwrapOrFatal(tryCommPatternFromName("gossip")),
+                testing::ExitedWithCode(1),
                 "unknown comm pattern");
 }
 

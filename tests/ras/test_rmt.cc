@@ -100,13 +100,14 @@ TEST(RmtDeathTest, BadOverheadPanics)
 TEST(Rmt, PolicyNamesRoundTrip)
 {
     for (RmtPolicy p : allRmtPolicies())
-        EXPECT_EQ(rmtPolicyFromName(rmtPolicyName(p)), p);
-    EXPECT_EQ(rmtPolicyFromName("none"), RmtPolicy::Off);
-    EXPECT_EQ(rmtPolicyFromName("disabled"), RmtPolicy::Off);
-    EXPECT_EQ(rmtPolicyFromName("OPPORTUNISTIC"), RmtPolicy::Opportunistic);
+        EXPECT_EQ(*tryRmtPolicyFromName(rmtPolicyName(p)), p);
+    EXPECT_EQ(*tryRmtPolicyFromName("none"), RmtPolicy::Off);
+    EXPECT_EQ(*tryRmtPolicyFromName("disabled"), RmtPolicy::Off);
+    EXPECT_EQ(*tryRmtPolicyFromName("OPPORTUNISTIC"),
+              RmtPolicy::Opportunistic);
 }
 
 TEST(RmtDeathTest, UnknownPolicyNamePanics)
 {
-    EXPECT_DEATH(rmtPolicyFromName("triple"), "policy");
+    EXPECT_DEATH(unwrapOrFatal(tryRmtPolicyFromName("triple")), "policy");
 }

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/node_config_io.hh"
 #include "core/ena.hh"
 #include "server/client.hh"
 #include "server/request_queue.hh"
@@ -405,6 +406,70 @@ TEST(EvalService, OversizedTaskGraphIsAnErrorAndTheServiceAnswersOn)
     EXPECT_EQ(svc.errorsReturned(), 1u);
 }
 
+TEST(EvalService, NarrowedIntegersAreOutOfRangeAndTheServiceAnswersOn)
+{
+    // Each of these used to be narrowed to a valid-looking value (320
+    // CUs, 100 nodes, a size-16 DAG, seed 2^64-1) and answered "ok".
+    struct Case
+    {
+        const char *op;
+        const char *config;
+        const char *key;
+    };
+    const Case cases[] = {
+        {"eval_node", "ehp.cus = 4294967616\n", "ehp.cus"},
+        {"cluster_eval", "cluster.nodes = 4294967396\n", "cluster.nodes"},
+        {"taskgraph_eval",
+         "cluster.nodes = 64\ntaskgraph.size = 4294967312\n",
+         "taskgraph.size"},
+        {"taskgraph_eval", "cluster.nodes = 64\ntaskgraph.seed = -1\n",
+         "taskgraph.seed"},
+    };
+    EvalService svc;
+    for (const Case &c : cases) {
+        JsonValue req = request(c.op);
+        req.set("app", "lulesh");
+        req.set("config", c.config);
+        JsonValue resp = svc.handle(req);
+        ASSERT_FALSE(resp.find("ok")->boolean()) << c.config;
+        const JsonValue *err = resp.find("error");
+        EXPECT_EQ(err->find("code")->str(), "out_of_range") << resp.dump();
+        EXPECT_NE(err->find("message")->str().find(c.key),
+                  std::string::npos)
+            << resp.dump();
+
+        JsonValue next = request("eval_node");
+        next.set("app", "lulesh");
+        next.set("config", "ehp.cus = 256\n");
+        EXPECT_TRUE(svc.handle(next).find("ok")->boolean()) << c.config;
+    }
+    EXPECT_EQ(svc.errorsReturned(), 4u);
+}
+
+TEST(EvalService, SweepCuValueBeyondIntIsAnErrorAndTheServiceAnswersOn)
+{
+    // from = to = 1e12 used to be converted to int unchecked.
+    EvalService svc;
+    JsonValue req = request("sweep");
+    req.set("app", "lulesh");
+    req.set("axis", "cus");
+    req.set("from", 1e12);
+    req.set("to", 1e12);
+    req.set("step", 1.0);
+    JsonValue resp = svc.handle(req);
+    EXPECT_FALSE(resp.find("ok")->boolean());
+    EXPECT_EQ(resp.find("error")->find("code")->str(), "out_of_range");
+
+    req.set("from", 256.0);
+    req.set("to", 264.0);
+    req.set("step", 4.0);
+    resp = svc.handle(req);
+    ASSERT_TRUE(resp.find("ok")->boolean()) << resp.dump();
+    expectSweepMatchesLocal(*resp.find("result"), App::LULESH, "cus",
+                            256.0, 264.0, 4.0, NodeConfig::bestMean());
+    EXPECT_EQ(svc.errorsReturned(), 1u);
+}
+
 TEST(EvalService, FaultInjectedSweepIsBitIdenticalToFaultFree)
 {
     // Every pool task faults on its first attempt; the retry policy
@@ -514,6 +579,49 @@ TEST(EvalServer, ServesPingEvalAndErrorsOverAUnixSocket)
     ASSERT_TRUE(stats.ok());
     EXPECT_GE(stats->find("requests")->number(), 3.0);
 
+    (*server)->stop();
+}
+
+TEST(EvalServer, NodeConfigTextCarriesExactDoublesToTheServer)
+{
+    // A base config is sent as nodeConfigToConfig text; doubles that
+    // need 17 digits must reach the server unrounded.
+    ServerOptions opts;
+    opts.endpoint = Endpoint::unixPath(testSocketPath("exact"));
+    opts.workers = 1;
+    auto server = EvalServer::start(opts);
+    ASSERT_TRUE(server.ok()) << server.status().toString();
+    ClientOptions copts;
+    copts.endpoint = (*server)->endpoint();
+    ServerClient client(copts);
+
+    NodeConfig cfg;
+    cfg.freqGhz = 0.1 + 0.2;
+    cfg.bwTbs = 1.0 / 3.0;
+    JsonValue params = JsonValue::object();
+    params.set("app", "lulesh");
+    params.set("config", nodeConfigToConfig(cfg).toString());
+    auto eval = client.call("eval_node", std::move(params));
+    ASSERT_TRUE(eval.ok()) << eval.status().toString();
+    NodeEvaluator local;
+    const EvalResult want = local.evaluate(cfg, App::LULESH);
+    EXPECT_EQ(bitsOf(eval->find("freq_ghz")->number()),
+              bitsOf(cfg.freqGhz));
+    EXPECT_EQ(bitsOf(eval->find("flops")->number()),
+              bitsOf(want.perf.flops));
+    EXPECT_EQ(bitsOf(eval->find("total_w")->number()),
+              bitsOf(want.power.total()));
+
+    auto points = client.sweepAxis("lulesh", "cus", 256, 264, 4, &cfg);
+    ASSERT_TRUE(points.ok()) << points.status().toString();
+    ASSERT_EQ(points->size(), 3u);
+    for (const SweepPoint &p : *points) {
+        NodeConfig at = cfg;
+        at.cus = p.cus;
+        EXPECT_EQ(bitsOf(p.flops),
+                  bitsOf(local.evaluate(at, App::LULESH).perf.flops))
+            << p.cus;
+    }
     (*server)->stop();
 }
 

@@ -19,8 +19,8 @@ TEST(Config, ParseBasicPairs)
 {
     Config c = Config::fromString("a = 1\nb.x = hello\n");
     EXPECT_EQ(c.size(), 2u);
-    EXPECT_EQ(c.getInt("a"), 1);
-    EXPECT_EQ(c.getString("b.x"), "hello");
+    EXPECT_EQ(*c.tryGetInt("a"), 1);
+    EXPECT_EQ(*c.tryGetString("b.x"), "hello");
 }
 
 TEST(Config, CommentsAndBlankLines)
@@ -30,26 +30,26 @@ TEST(Config, CommentsAndBlankLines)
         "\n"
         "key = value # trailing comment\n");
     EXPECT_EQ(c.size(), 1u);
-    EXPECT_EQ(c.getString("key"), "value");
+    EXPECT_EQ(*c.tryGetString("key"), "value");
 }
 
 TEST(Config, TypedAccessors)
 {
     Config c = Config::fromString(
         "f = 2.5\ni = -3\nb = true\ns = text\n");
-    EXPECT_DOUBLE_EQ(c.getDouble("f"), 2.5);
-    EXPECT_EQ(c.getInt("i"), -3);
-    EXPECT_TRUE(c.getBool("b"));
-    EXPECT_EQ(c.getString("s"), "text");
+    EXPECT_DOUBLE_EQ(*c.tryGetDouble("f"), 2.5);
+    EXPECT_EQ(*c.tryGetInt("i"), -3);
+    EXPECT_TRUE(*c.tryGetBool("b"));
+    EXPECT_EQ(*c.tryGetString("s"), "text");
 }
 
 TEST(Config, DefaultsWhenMissing)
 {
     Config c;
-    EXPECT_DOUBLE_EQ(c.getDouble("nope", 7.0), 7.0);
-    EXPECT_EQ(c.getInt("nope", 9), 9);
-    EXPECT_TRUE(c.getBool("nope", true));
-    EXPECT_EQ(c.getString("nope", "d"), "d");
+    EXPECT_DOUBLE_EQ(*c.tryGetDouble("nope", 7.0), 7.0);
+    EXPECT_EQ(*c.tryGetInt("nope", 9), 9);
+    EXPECT_TRUE(*c.tryGetBool("nope", true));
+    EXPECT_EQ(*c.tryGetString("nope", "d"), "d");
 }
 
 TEST(Config, SettersOverwrite)
@@ -57,11 +57,11 @@ TEST(Config, SettersOverwrite)
     Config c;
     c.set("k", 1.5);
     c.set("k", 2.5);
-    EXPECT_DOUBLE_EQ(c.getDouble("k"), 2.5);
+    EXPECT_DOUBLE_EQ(*c.tryGetDouble("k"), 2.5);
     c.set("flag", true);
-    EXPECT_TRUE(c.getBool("flag"));
+    EXPECT_TRUE(*c.tryGetBool("flag"));
     c.set("n", 42);
-    EXPECT_EQ(c.getInt("n"), 42);
+    EXPECT_EQ(*c.tryGetInt("n"), 42);
 }
 
 TEST(Config, HasAndPrefixSearch)
@@ -70,7 +70,12 @@ TEST(Config, HasAndPrefixSearch)
         "ehp.cus = 320\nehp.freq = 1.0\nextmem.dram = 768\n");
     EXPECT_TRUE(c.has("ehp.cus"));
     EXPECT_FALSE(c.has("ehp.bw"));
-    auto keys = c.keysWithPrefix("ehp.");
+    std::vector<std::string> keys;
+    Status s = c.forEachKey("ehp.", [&](std::string_view k) {
+        keys.emplace_back(k);
+        return Status();
+    });
+    EXPECT_TRUE(s.ok());
     ASSERT_EQ(keys.size(), 2u);
     EXPECT_EQ(keys[0], "ehp.cus");
     EXPECT_EQ(keys[1], "ehp.freq");
@@ -81,17 +86,17 @@ TEST(Config, MergeOtherWins)
     Config a = Config::fromString("x = 1\ny = 2\n");
     Config b = Config::fromString("y = 3\nz = 4\n");
     a.merge(b);
-    EXPECT_EQ(a.getInt("x"), 1);
-    EXPECT_EQ(a.getInt("y"), 3);
-    EXPECT_EQ(a.getInt("z"), 4);
+    EXPECT_EQ(*a.tryGetInt("x"), 1);
+    EXPECT_EQ(*a.tryGetInt("y"), 3);
+    EXPECT_EQ(*a.tryGetInt("z"), 4);
 }
 
 TEST(Config, RoundTripThroughToString)
 {
     Config a = Config::fromString("x = 1\ny = hello world\n");
     Config b = Config::fromString(a.toString());
-    EXPECT_EQ(b.getInt("x"), 1);
-    EXPECT_EQ(b.getString("y"), "hello world");
+    EXPECT_EQ(*b.tryGetInt("x"), 1);
+    EXPECT_EQ(*b.tryGetString("y"), "hello world");
 }
 
 TEST(Config, DuplicateKeyWarnsOnceAndKeepsTheLastValue)
@@ -107,7 +112,7 @@ TEST(Config, DuplicateKeyWarnsOnceAndKeepsTheLastValue)
         "other = x\n");
     setLogSink({});
     EXPECT_EQ(c.size(), 2u);
-    EXPECT_EQ(c.getInt("k"), 3);   // last write wins, as before
+    EXPECT_EQ(*c.tryGetInt("k"), 3);   // last write wins, as before
     int dup_warnings = 0;
     for (const std::string &w : warnings)
         if (w.find("duplicate key 'k'") != std::string::npos)
@@ -221,14 +226,15 @@ using ConfigDeath = Config;
 TEST(ConfigDeathTest, MissingKeyIsFatal)
 {
     Config c;
-    EXPECT_EXIT(c.getDouble("missing"),
+    EXPECT_EXIT(unwrapOrFatal(c.tryGetDouble("missing")),
                 testing::ExitedWithCode(1), "missing config key");
 }
 
 TEST(ConfigDeathTest, MalformedNumberIsFatal)
 {
     Config c = Config::fromString("k = abc\n");
-    EXPECT_EXIT(c.getDouble("k"), testing::ExitedWithCode(1),
+    EXPECT_EXIT(unwrapOrFatal(c.tryGetDouble("k")),
+                testing::ExitedWithCode(1),
                 "not a number");
 }
 

@@ -224,3 +224,13 @@ TEST(StatusShims, UnwrapOrFatalUnwrapsOrExits)
     EXPECT_EXIT(unwrapOrFatal(Expected<int>(Status::ioError("no file"))),
                 testing::ExitedWithCode(1), "no file");
 }
+
+TEST(Status, EveryCodeNameRoundTrips)
+{
+    for (int c = 0; c <= static_cast<int>(ErrorCode::Internal); ++c) {
+        const ErrorCode code = static_cast<ErrorCode>(c);
+        EXPECT_EQ(errorCodeFromName(errorCodeName(code)), code)
+            << errorCodeName(code);
+    }
+    EXPECT_EQ(errorCodeFromName("no_such_code"), ErrorCode::Internal);
+}

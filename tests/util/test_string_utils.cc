@@ -73,6 +73,20 @@ TEST(StringUtils, ParseIntInvalid)
     EXPECT_FALSE(parseInt("4.2").has_value());
     EXPECT_FALSE(parseInt("x").has_value());
     EXPECT_FALSE(parseInt("").has_value());
+    // Out of the 64-bit range: rejected, not saturated.
+    EXPECT_FALSE(parseInt("9223372036854775808").has_value());
+    EXPECT_FALSE(parseInt("-9223372036854775809").has_value());
+}
+
+TEST(StringUtils, ParseUint)
+{
+    EXPECT_EQ(parseUint("18446744073709551615").value(),
+              18446744073709551615ull);
+    EXPECT_EQ(parseUint("0x10").value(), 16u);
+    EXPECT_FALSE(parseUint("-1").has_value());
+    EXPECT_FALSE(parseUint(" -1").has_value());
+    EXPECT_FALSE(parseUint("18446744073709551616").has_value());
+    EXPECT_FALSE(parseUint("1.5").has_value());
 }
 
 TEST(StringUtils, ParseBool)
