@@ -12,6 +12,7 @@
 #define ENA_COMMON_NODE_CONFIG_HH
 
 #include <climits>
+#include <cmath>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -173,9 +174,9 @@ struct AxisSweep
 /**
  * Sweep @p base along @p axis ("cus" | "freq" | "bw") over
  * trySweepAxisValues(@p from, @p to, @p step). invalid_argument for
- * any other axis; out_of_range for a bad range, a "cus" value outside
- * [1, INT_MAX] (checked before the conversion to int), or a point
- * that fails NodeConfig::tryValidate.
+ * any other axis or a fractional "cus" value; out_of_range for a bad
+ * range, a "cus" value outside [1, INT_MAX] (both checked before the
+ * conversion to int), or a point that fails NodeConfig::tryValidate.
  */
 inline Expected<AxisSweep>
 trySweepAxis(const NodeConfig &base, std::string_view axis, double from,
@@ -196,6 +197,11 @@ trySweepAxis(const NodeConfig &base, std::string_view axis, double from,
                 return Status::outOfRange("sweep point ", i, ": cus value ",
                                           v, " is outside [1, ", INT_MAX,
                                           "]");
+            }
+            if (v != std::floor(v)) {
+                return Status::invalidArgument(
+                    "sweep point ", i, ": cus value ", v,
+                    " is not a whole number of CUs");
             }
             cfg.cus = static_cast<int>(v);
         } else if (axis == "freq") {

@@ -14,21 +14,15 @@ LayerTemps::peak() const
     return *std::max_element(t.begin(), t.end());
 }
 
-double
-LayerTemps::mean() const
-{
-    double s = 0.0;
-    for (double v : t)
-        s += v;
-    return s / static_cast<double>(t.size());
-}
-
 ThermalGrid::ThermalGrid(ThermalGridParams params,
                          std::vector<Layer> layers)
     : params_(params), layers_(std::move(layers))
 {
     if (layers_.empty())
         ENA_FATAL("thermal grid needs at least one layer");
+    if (!(params_.sinkResistance > 0.0))
+        ENA_FATAL("thermal grid needs a positive sink resistance, got ",
+                  params_.sinkResistance);
     nx_ = layers_.front().power.nx();
     ny_ = layers_.front().power.ny();
     for (const Layer &l : layers_) {
@@ -49,136 +43,156 @@ ThermalGrid::idx(size_t layer, size_t x, size_t y) const
     return (layer * ny_ + y) * nx_ + x;
 }
 
-int
-ThermalGrid::solve()
+ThermalGrid::Conductances
+ThermalGrid::conductances() const
 {
     const size_t nl = layers_.size();
     const double dx = params_.widthM / static_cast<double>(nx_);
     const double dy = params_.depthM / static_cast<double>(ny_);
-    const double area = dx * dy;
-
-    // Per-layer lateral conductances; per-interface vertical ones.
-    std::vector<double> glx(nl);
-    std::vector<double> gly(nl);
-    std::vector<double> gup(nl, 0.0);   // layer l <-> l+1
+    Conductances g;
+    g.gup.assign(nl, 0.0);
     for (size_t l = 0; l < nl; ++l) {
-        glx[l] = layers_[l].conductivity * layers_[l].thicknessM * dy /
-                 dx;
-        gly[l] = layers_[l].conductivity * layers_[l].thicknessM * dx /
-                 dy;
+        const Layer &ly = layers_[l];
+        g.glx.push_back(ly.conductivity * ly.thicknessM * dy / dx);
+        g.gly.push_back(ly.conductivity * ly.thicknessM * dx / dy);
+        g.cap.push_back(ly.heatCapacity * dx * dy * ly.thicknessM);
+        // Vertical: series resistance of the two half-thicknesses.
         if (l + 1 < nl) {
-            double r = layers_[l].thicknessM /
-                           (2.0 * layers_[l].conductivity) +
-                       layers_[l + 1].thicknessM /
-                           (2.0 * layers_[l + 1].conductivity);
-            gup[l] = area / r;
+            g.gup[l] = dx * dy /
+                       (ly.thicknessM / (2.0 * ly.conductivity) +
+                        layers_[l + 1].thicknessM /
+                            (2.0 * layers_[l + 1].conductivity));
         }
     }
-    double g_sink =
+    g.gSink =
         1.0 / (params_.sinkResistance * static_cast<double>(nx_ * ny_));
+    return g;
+}
 
-    int iter = 0;
-    for (; iter < params_.maxIterations; ++iter) {
-        double max_delta = 0.0;
-        for (size_t l = 0; l < nl; ++l) {
-            const PowerMap &pm = layers_[l].power;
-            for (size_t y = 0; y < ny_; ++y) {
-                for (size_t x = 0; x < nx_; ++x) {
-                    double num = pm.at(x, y);
-                    double den = 0.0;
-                    if (x > 0) {
-                        num += glx[l] * temps_[idx(l, x - 1, y)];
-                        den += glx[l];
-                    }
-                    if (x + 1 < nx_) {
-                        num += glx[l] * temps_[idx(l, x + 1, y)];
-                        den += glx[l];
-                    }
-                    if (y > 0) {
-                        num += gly[l] * temps_[idx(l, x, y - 1)];
-                        den += gly[l];
-                    }
-                    if (y + 1 < ny_) {
-                        num += gly[l] * temps_[idx(l, x, y + 1)];
-                        den += gly[l];
-                    }
-                    if (l > 0) {
-                        num += gup[l - 1] * temps_[idx(l - 1, x, y)];
-                        den += gup[l - 1];
-                    }
-                    if (l + 1 < nl) {
-                        num += gup[l] * temps_[idx(l + 1, x, y)];
-                        den += gup[l];
-                    } else {
-                        num += g_sink * params_.ambientC;
-                        den += g_sink;
-                    }
-                    size_t i = idx(l, x, y);
-                    double t_new = num / den;
-                    double t_relaxed =
-                        temps_[i] +
-                        params_.sorOmega * (t_new - temps_[i]);
-                    max_delta = std::max(max_delta,
-                                         std::abs(t_relaxed - temps_[i]));
-                    temps_[i] = t_relaxed;
-                }
+namespace {
+
+/**
+ * Orthonormal DCT-II of length n: c (row k is mode k at the n cells),
+ * its transpose, and the eigenvalues 4 sin^2(pi k / 2n) of the 1-D
+ * Neumann Laplacian it diagonalises.
+ */
+struct Dct
+{
+    std::vector<double> c, cT, lam;
+
+    explicit Dct(size_t n) : c(n * n), cT(n * n), lam(n)
+    {
+        const double pi = std::acos(-1.0);
+        for (size_t k = 0; k < n; ++k) {
+            const double s = std::sin(pi * k / (2.0 * n));
+            lam[k] = 4.0 * s * s;
+            const double scale = std::sqrt((k == 0 ? 1.0 : 2.0) / n);
+            for (size_t j = 0; j < n; ++j) {
+                c[k * n + j] = cT[j * n + k] =
+                    scale * std::cos(pi * k * (2.0 * j + 1.0) / (2.0 * n));
             }
         }
-        if (max_delta < params_.toleranceC)
-            break;
+    }
+};
+
+/**
+ * out = left * in * right for a row-major ny x nx block @p in, with
+ * @p left ny x ny and @p right nx x nx.
+ */
+void
+sandwich(const std::vector<double> &left, const double *in,
+         const std::vector<double> &right, double *out, size_t nx,
+         size_t ny)
+{
+    std::vector<double> tmp(nx * ny, 0.0);
+    for (size_t y = 0; y < ny; ++y)
+        for (size_t x = 0; x < nx; ++x)
+            for (size_t k = 0; k < nx; ++k)
+                tmp[y * nx + k] += in[y * nx + x] * right[x * nx + k];
+    std::fill(out, out + nx * ny, 0.0);
+    for (size_t k = 0; k < ny; ++k)
+        for (size_t y = 0; y < ny; ++y)
+            for (size_t x = 0; x < nx; ++x)
+                out[k * nx + x] += left[k * ny + y] * tmp[y * nx + x];
+}
+
+} // anonymous namespace
+
+void
+ThermalGrid::solve()
+{
+    // In theta = T - ambient the system is A theta = P.
+    const size_t nl = layers_.size();
+    const size_t cells = nx_ * ny_;
+    const Conductances g = conductances();
+    const Dct cx(nx_);
+    const Dct cy(ny_);
+
+    // 1. Each layer's power map into lateral modes, Cy P Cx^T, held in
+    // temps_ until step 3.
+    for (size_t l = 0; l < nl; ++l) {
+        sandwich(cy.c, layers_[l].power.cells().data(), cx.cT,
+                 &temps_[idx(l, 0, 0)], nx_, ny_);
     }
 
-    layerTemps_.clear();
-    for (size_t l = 0; l < nl; ++l) {
-        LayerTemps lt;
-        lt.name = layers_[l].name;
-        lt.nx = nx_;
-        lt.ny = ny_;
-        lt.t.assign(temps_.begin() + static_cast<long>(idx(l, 0, 0)),
-                    temps_.begin() +
-                        static_cast<long>(idx(l, 0, 0) + nx_ * ny_));
-        layerTemps_.push_back(std::move(lt));
+    // 2. Per mode, a tridiagonal system over the layers (Thomas). Layer
+    // l's pivot is excess + gup[l], where excess >= 0 sums the lateral,
+    // sink and eliminated terms below: no subtraction, so no
+    // cancellation even in the near-singular uniform mode.
+    std::vector<double> pivot(nl);
+    for (size_t m = 0; m < cells; ++m) {
+        double excess = 0.0;
+        for (size_t l = 0; l < nl; ++l) {
+            const bool top = l + 1 == nl;
+            double e = g.glx[l] * cx.lam[m % nx_] +
+                       g.gly[l] * cy.lam[m / nx_] + (top ? g.gSink : 0.0);
+            if (l > 0) {
+                e += g.gup[l - 1] * excess / pivot[l - 1];
+                temps_[l * cells + m] += g.gup[l - 1] *
+                                         temps_[(l - 1) * cells + m] /
+                                         pivot[l - 1];
+            }
+            excess = e;
+            pivot[l] = e + (top ? 0.0 : g.gup[l]);
+        }
+        for (size_t l = nl; l-- > 0;) {
+            double &theta = temps_[l * cells + m];
+            if (l + 1 < nl)
+                theta += g.gup[l] * temps_[(l + 1) * cells + m];
+            theta /= pivot[l];
+        }
     }
-    solved_ = true;
-    return iter + 1;
+
+    // 3. Back to cells: T = ambient + Cy^T theta Cx. The uniform mode
+    // (the layer's mean rise, which dwarfs the lateral detail) is added
+    // with ambient afterwards, so each cell rounds once at full
+    // magnitude rather than at every accumulation.
+    std::vector<double> modes(cells);
+    for (size_t l = 0; l < nl; ++l) {
+        double *t = &temps_[idx(l, 0, 0)];
+        std::copy(t, t + cells, modes.begin());
+        const double offset =
+            params_.ambientC + modes[0] * cy.c[0] * cx.c[0];
+        modes[0] = 0.0;
+        sandwich(cy.cT, modes.data(), cx.c, t, nx_, ny_);
+        for (size_t i = 0; i < cells; ++i)
+            t[i] += offset;
+    }
+    publish();
 }
 
 double
 ThermalGrid::stableDtS() const
 {
     // Conservative bound: C_min / G_max over layers.
-    const double dx = params_.widthM / static_cast<double>(nx_);
-    const double dy = params_.depthM / static_cast<double>(ny_);
+    const Conductances g = conductances();
+    const size_t nl = layers_.size();
     double worst = 1e30;
-    for (size_t l = 0; l < layers_.size(); ++l) {
-        double cap = layers_[l].heatCapacity * dx * dy *
-                     layers_[l].thicknessM;
-        double glx = layers_[l].conductivity * layers_[l].thicknessM *
-                     dy / dx;
-        double gly = layers_[l].conductivity * layers_[l].thicknessM *
-                     dx / dy;
-        double gup = 0.0;
-        double gdn = 0.0;
-        double area = dx * dy;
-        if (l + 1 < layers_.size()) {
-            double r = layers_[l].thicknessM /
-                           (2.0 * layers_[l].conductivity) +
-                       layers_[l + 1].thicknessM /
-                           (2.0 * layers_[l + 1].conductivity);
-            gup = area / r;
-        } else {
-            gup = 1.0 / (params_.sinkResistance *
-                         static_cast<double>(nx_ * ny_));
-        }
-        if (l > 0) {
-            double r = layers_[l].thicknessM /
-                           (2.0 * layers_[l].conductivity) +
-                       layers_[l - 1].thicknessM /
-                           (2.0 * layers_[l - 1].conductivity);
-            gdn = area / r;
-        }
-        double gtot = 2.0 * glx + 2.0 * gly + gup + gdn;
-        worst = std::min(worst, cap / gtot);
+    for (size_t l = 0; l < nl; ++l) {
+        double gtot = 2.0 * g.glx[l] + 2.0 * g.gly[l] +
+                      (l + 1 < nl ? g.gup[l] : g.gSink) +
+                      (l > 0 ? g.gup[l - 1] : 0.0);
+        worst = std::min(worst, g.cap[l] / gtot);
     }
     return 0.5 * worst;
 }
@@ -188,80 +202,50 @@ ThermalGrid::stepTransient(double seconds)
 {
     ENA_ASSERT(seconds > 0.0, "transient needs positive duration");
     const size_t nl = layers_.size();
-    const double dx = params_.widthM / static_cast<double>(nx_);
-    const double dy = params_.depthM / static_cast<double>(ny_);
-    const double area = dx * dy;
-
-    std::vector<double> glx(nl);
-    std::vector<double> gly(nl);
-    std::vector<double> gup(nl, 0.0);
-    std::vector<double> cap(nl);
-    for (size_t l = 0; l < nl; ++l) {
-        glx[l] = layers_[l].conductivity * layers_[l].thicknessM * dy /
-                 dx;
-        gly[l] = layers_[l].conductivity * layers_[l].thicknessM * dx /
-                 dy;
-        cap[l] = layers_[l].heatCapacity * area * layers_[l].thicknessM;
-        if (l + 1 < nl) {
-            double r = layers_[l].thicknessM /
-                           (2.0 * layers_[l].conductivity) +
-                       layers_[l + 1].thicknessM /
-                           (2.0 * layers_[l + 1].conductivity);
-            gup[l] = area / r;
-        }
-    }
-    double g_sink =
-        1.0 / (params_.sinkResistance * static_cast<double>(nx_ * ny_));
+    const Conductances g = conductances();
 
     double dt = stableDtS();
     int steps = static_cast<int>(seconds / dt) + 1;
     dt = seconds / steps;
 
+    const size_t cells = nx_ * ny_;
     std::vector<double> next(temps_.size());
     for (int step = 0; step < steps; ++step) {
-        for (size_t l = 0; l < nl; ++l) {
-            const PowerMap &pm = layers_[l].power;
-            for (size_t y = 0; y < ny_; ++y) {
-                for (size_t x = 0; x < nx_; ++x) {
-                    size_t i = idx(l, x, y);
-                    double t = temps_[i];
-                    double q = pm.at(x, y);
-                    if (x > 0)
-                        q += glx[l] * (temps_[idx(l, x - 1, y)] - t);
-                    if (x + 1 < nx_)
-                        q += glx[l] * (temps_[idx(l, x + 1, y)] - t);
-                    if (y > 0)
-                        q += gly[l] * (temps_[idx(l, x, y - 1)] - t);
-                    if (y + 1 < ny_)
-                        q += gly[l] * (temps_[idx(l, x, y + 1)] - t);
-                    if (l > 0)
-                        q += gup[l - 1] *
-                             (temps_[idx(l - 1, x, y)] - t);
-                    if (l + 1 < nl) {
-                        q += gup[l] * (temps_[idx(l + 1, x, y)] - t);
-                    } else {
-                        q += g_sink * (params_.ambientC - t);
-                    }
-                    next[i] = t + dt * q / cap[l];
-                }
-            }
+        for (size_t i = 0; i < temps_.size(); ++i) {
+            const size_t l = i / cells;
+            const size_t x = i % nx_;
+            const size_t y = i % cells / nx_;
+            const double t = temps_[i];
+            // Heat flowing in from cell j through conductance gc.
+            auto in = [&](bool has, size_t j, double gc) {
+                return has ? gc * (temps_[j] - t) : 0.0;
+            };
+            double q = layers_[l].power.at(x, y) +
+                       in(x > 0, i - 1, g.glx[l]) +
+                       in(x + 1 < nx_, i + 1, g.glx[l]) +
+                       in(y > 0, i - nx_, g.gly[l]) +
+                       in(y + 1 < ny_, i + nx_, g.gly[l]) +
+                       in(l > 0, i - cells, l > 0 ? g.gup[l - 1] : 0.0) +
+                       (l + 1 < nl ? g.gup[l] * (temps_[i + cells] - t)
+                                   : g.gSink * (params_.ambientC - t));
+            next[i] = t + dt * q / g.cap[l];
         }
         temps_.swap(next);
     }
+    publish();
+    return steps;
+}
 
+void
+ThermalGrid::publish()
+{
     layerTemps_.clear();
-    for (size_t l = 0; l < nl; ++l) {
-        LayerTemps lt;
-        lt.name = layers_[l].name;
-        lt.nx = nx_;
-        lt.ny = ny_;
-        lt.t.assign(temps_.begin() + static_cast<long>(idx(l, 0, 0)),
-                    temps_.begin() +
-                        static_cast<long>(idx(l, 0, 0) + nx_ * ny_));
-        layerTemps_.push_back(std::move(lt));
+    for (size_t l = 0; l < layers_.size(); ++l) {
+        const double *t = &temps_[idx(l, 0, 0)];
+        layerTemps_.push_back(LayerTemps{layers_[l].name, nx_, ny_,
+                                         {t, t + nx_ * ny_}});
     }
     solved_ = true;
-    return steps;
 }
 
 const std::vector<LayerTemps> &
@@ -271,29 +255,27 @@ ThermalGrid::temperatures() const
     return layerTemps_;
 }
 
+const LayerTemps &
+ThermalGrid::layerNamed(const std::string &name) const
+{
+    for (const LayerTemps &lt : temperatures()) {
+        if (lt.name == name)
+            return lt;
+    }
+    ENA_FATAL("no thermal layer named '", name, "'");
+}
+
 double
 ThermalGrid::peak(const std::string &layer_name) const
 {
-    ENA_ASSERT(solved_, "peak() before solve()");
-    for (const LayerTemps &lt : layerTemps_) {
-        if (lt.name == layer_name)
-            return lt.peak();
-    }
-    ENA_FATAL("no thermal layer named '", layer_name, "'");
+    return layerNamed(layer_name).peak();
 }
 
 std::string
 ThermalGrid::asciiHeatMap(const std::string &layer_name, int levels) const
 {
-    ENA_ASSERT(solved_, "asciiHeatMap() before solve()");
     ENA_ASSERT(levels >= 2 && levels <= 10, "levels must be 2..10");
-    const LayerTemps *lt = nullptr;
-    for (const LayerTemps &cand : layerTemps_) {
-        if (cand.name == layer_name)
-            lt = &cand;
-    }
-    if (!lt)
-        ENA_FATAL("no thermal layer named '", layer_name, "'");
+    const LayerTemps *lt = &layerNamed(layer_name);
 
     double lo = *std::min_element(lt->t.begin(), lt->t.end());
     double hi = lt->peak();

@@ -8,7 +8,10 @@
  * laterally within a layer and vertically between adjacent layers
  * (series resistance of the two half-thicknesses). The top layer sees a
  * convective boundary (heat sink) to ambient; other outer faces are
- * adiabatic. Solved with successive over-relaxation.
+ * adiabatic. The steady state is solved directly: the orthonormal
+ * DCT-II diagonalises every layer's lateral (Neumann) Laplacian, so each
+ * lateral mode is one tridiagonal system over the layers. The result is
+ * the exact discrete solution up to rounding; nothing is iterated.
  */
 
 #ifndef ENA_THERMAL_GRID_HH
@@ -40,9 +43,6 @@ struct ThermalGridParams
     /** Heat-sink thermal resistance from the top layer to ambient
      *  (K/W), high-end air cooling. */
     double sinkResistance = 0.9;
-    double sorOmega = 1.8;
-    double toleranceC = 1e-4;
-    int maxIterations = 20000;
 };
 
 /** Solved temperature field of one layer. */
@@ -55,7 +55,6 @@ struct LayerTemps
 
     double at(size_t x, size_t y) const { return t[y * nx + x]; }
     double peak() const;
-    double mean() const;
 };
 
 class ThermalGrid
@@ -63,8 +62,8 @@ class ThermalGrid
   public:
     ThermalGrid(ThermalGridParams params, std::vector<Layer> layers);
 
-    /** Run SOR to convergence; returns iterations used. */
-    int solve();
+    /** Solve the steady state (DCT in x/y, Thomas in z). */
+    void solve();
 
     /**
      * Advance the transient solution by @p seconds with explicit Euler
@@ -90,11 +89,23 @@ class ThermalGrid
     std::string asciiHeatMap(const std::string &layer_name,
                              int levels = 10) const;
 
-    size_t numLayers() const { return layers_.size(); }
+    const std::vector<Layer> &layers() const { return layers_; }
     const ThermalGridParams &params() const { return params_; }
 
   private:
+    /** Per-cell conductances (W/K; gup[l] joins layers l and l+1),
+     *  capacitances (J/K) and the top cells' sink conductance. */
+    struct Conductances
+    {
+        std::vector<double> glx, gly, gup, cap;
+        double gSink = 0.0;
+    };
+
     size_t idx(size_t layer, size_t x, size_t y) const;
+    Conductances conductances() const;
+    /** Copy temps_ into layerTemps_ and mark the field solved. */
+    void publish();
+    const LayerTemps &layerNamed(const std::string &name) const;
 
     ThermalGridParams params_;
     std::vector<Layer> layers_;

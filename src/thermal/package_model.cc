@@ -11,20 +11,19 @@ namespace ena {
 
 namespace {
 
-/** Solve @p grid, recording its iterations in the thermal counters. */
-int
+/** Solve @p grid, counting it: the direct solve is one pass. */
+void
 solveCounted(ThermalGrid &grid)
 {
     static telemetry::Counter &iters = telemetry::counter(
         "thermal.solver_iterations",
-        "SOR iterations summed over all package thermal solves");
+        "passes of the direct solver, one per package thermal solve");
     static telemetry::Histogram &iters_hist = telemetry::histogram(
         "thermal.solver_iterations_per_solve",
-        "SOR iterations needed by one package solve", 1.0, 2.0, 20);
-    const int n = grid.solve();
-    iters.add(static_cast<std::uint64_t>(n));
-    iters_hist.sample(static_cast<double>(n));
-    return n;
+        "passes needed by one package solve (always 1)", 1.0, 2.0, 20);
+    grid.solve();
+    iters.add(1);
+    iters_hist.sample(1.0);
 }
 
 } // anonymous namespace
@@ -133,7 +132,7 @@ EhpPackageModel::solve(const NodeConfig &cfg,
     ENA_SPAN("thermal", "solve_package");
     ThermalGrid grid = buildGrid(cfg, power);
     PackageThermalResult r;
-    r.solverIterations = solveCounted(grid);
+    solveCounted(grid);
 
     r.peakBottomDramC = grid.peak("dram0");
     r.peakGpuC = grid.peak("gpu");

@@ -40,7 +40,6 @@ struct PackageThermalResult
     double peakDramC = 0.0;     ///< hottest cell across all DRAM dies
     double peakBottomDramC = 0.0;
     double peakGpuC = 0.0;
-    int solverIterations = 0;
     LayerTemps bottomDram;      ///< the Fig. 11 die
 };
 
@@ -60,15 +59,16 @@ class EhpPackageModel
     std::string heatMap(const NodeConfig &cfg,
                         const PowerBreakdown &power) const;
 
+    /** The unsolved package grid solve() and heatMap() work on. */
+    ThermalGrid buildGrid(const NodeConfig &cfg,
+                          const PowerBreakdown &power) const;
+
     const PackageThermalParams &params() const { return params_; }
 
     /** JEDEC refresh-doubling limit the paper checks against. */
     static constexpr double dramLimitC = 85.0;
 
   private:
-    ThermalGrid buildGrid(const NodeConfig &cfg,
-                          const PowerBreakdown &power) const;
-
     PackageThermalParams params_;
 };
 

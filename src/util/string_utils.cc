@@ -59,6 +59,24 @@ parseDouble(std::string_view s)
     return v;
 }
 
+namespace {
+
+/**
+ * strtoll/strtoull base for @p t: 16 after an explicit 0x/0X prefix
+ * (past an optional sign), else 10. A leading zero is not octal:
+ * "0320" reads as 320.
+ */
+int
+integerBase(const std::string &t)
+{
+    const size_t i = (t[0] == '+' || t[0] == '-') ? 1 : 0;
+    const bool hex = t.size() > i + 1 && t[i] == '0' &&
+                     (t[i + 1] == 'x' || t[i + 1] == 'X');
+    return hex ? 16 : 10;
+}
+
+} // anonymous namespace
+
 std::optional<long long>
 parseInt(std::string_view s)
 {
@@ -67,7 +85,7 @@ parseInt(std::string_view s)
         return std::nullopt;
     char *end = nullptr;
     errno = 0;
-    long long v = std::strtoll(t.c_str(), &end, 0);
+    long long v = std::strtoll(t.c_str(), &end, integerBase(t));
     if (end != t.c_str() + t.size() || errno == ERANGE)
         return std::nullopt;
     return v;
@@ -81,7 +99,7 @@ parseUint(std::string_view s)
         return std::nullopt;
     char *end = nullptr;
     errno = 0;
-    unsigned long long v = std::strtoull(t.c_str(), &end, 0);
+    unsigned long long v = std::strtoull(t.c_str(), &end, integerBase(t));
     if (end != t.c_str() + t.size() || errno == ERANGE)
         return std::nullopt;
     return v;

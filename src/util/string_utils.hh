@@ -28,12 +28,13 @@ std::string toLower(std::string_view s);
 std::optional<double> parseDouble(std::string_view s);
 
 /**
- * Parse a signed 64-bit integer, returning nullopt on malformed input
- * or a value outside the 64-bit range.
+ * Parse a signed 64-bit integer, decimal or hex after 0x/0X (a leading
+ * zero is not octal), returning nullopt on malformed input or a value
+ * outside the 64-bit range.
  */
 std::optional<long long> parseInt(std::string_view s);
 
-/** Parse an unsigned 64-bit integer; nullopt if negative or malformed. */
+/** Unsigned parseInt; nullopt if negative or malformed. */
 std::optional<std::uint64_t> parseUint(std::string_view s);
 
 /** Parse a boolean ("true"/"false"/"1"/"0"/"yes"/"no"). */

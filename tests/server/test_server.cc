@@ -333,6 +333,32 @@ TEST(EvalService, SweepRejectsBadAxisAndRange)
     EXPECT_EQ(resp.find("error")->find("code")->str(), "out_of_range");
 }
 
+TEST(EvalService, FractionalCuSweepIsAnErrorAndTheServiceAnswersOn)
+{
+    // Truncating 192.5 to 192 CUs would evaluate duplicate points under
+    // a value column that is not the evaluated knob.
+    EvalService svc;
+    JsonValue req = request("sweep");
+    req.set("app", "lulesh");
+    req.set("axis", "cus");
+    req.set("from", 192.5);
+    req.set("to", 193.5);
+    req.set("step", 0.5);
+    JsonValue resp = svc.handle(req);
+    EXPECT_FALSE(resp.find("ok")->boolean());
+    EXPECT_EQ(resp.find("error")->find("code")->str(), "invalid_argument");
+    EXPECT_NE(resp.find("error")->find("message")->str().find(
+                  "sweep point 0"),
+              std::string::npos)
+        << resp.dump();
+
+    req.set("from", 192.0);
+    req.set("to", 200.0);
+    req.set("step", 4.0);
+    resp = svc.handle(req);
+    EXPECT_TRUE(resp.find("ok")->boolean()) << resp.dump();
+}
+
 TEST(EvalService, SweepWithAStepThatNeverAdvancesIsAnError)
 {
     // 1 + 1e-300 == 1: the enumeration would never reach TO. It must

@@ -92,6 +92,15 @@ TEST(NodeConfigIo, TryLoadReportsRangeViolationsAsStatus)
               std::string::npos);
 }
 
+TEST(NodeConfigIo, LeadingZeroCuCountIsDecimal)
+{
+    // Octal would load 0320 as 208 CUs.
+    Config cfg = Config::fromString("ehp.cus = 0320\n");
+    auto n = tryNodeConfigFromConfig(cfg);
+    ASSERT_TRUE(n.ok()) << n.status().message();
+    EXPECT_EQ(n.value().cus, 320);
+}
+
 TEST(NodeConfigIoDeathTest, UnknownKeyIsFatal)
 {
     Config cfg = Config::fromString("ehp.cuz = 320\n");

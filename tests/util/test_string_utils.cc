@@ -66,6 +66,19 @@ TEST(StringUtils, ParseIntValid)
     EXPECT_EQ(parseInt("42").value(), 42);
     EXPECT_EQ(parseInt("-7").value(), -7);
     EXPECT_EQ(parseInt("0x10").value(), 16);
+    EXPECT_EQ(parseInt("0X1f").value(), 31);
+    EXPECT_EQ(parseInt("-0x10").value(), -16);
+}
+
+TEST(StringUtils, LeadingZerosAreDecimalNotOctal)
+{
+    EXPECT_EQ(parseInt("0320").value(), 320);
+    EXPECT_EQ(parseInt("-010").value(), -10);
+    EXPECT_EQ(parseInt("08").value(), 8);
+    EXPECT_EQ(parseInt("0").value(), 0);
+    EXPECT_EQ(parseUint("0320").value(), 320u);
+    EXPECT_EQ(parseUint("09").value(), 9u);
+    EXPECT_FALSE(parseInt("0x").has_value());
 }
 
 TEST(StringUtils, ParseIntInvalid)
