@@ -41,6 +41,60 @@ BM_EventQueue(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueue);
 
+/** The ComputeUnit::wake pattern: 32 memory responses in flight, each a
+ *  lambda with a Packet-sized capture, and each pulling the CU's one
+ *  issue event earlier; the issue event sends a new request and sleeps
+ *  until woken. Items are events executed. */
+void
+BM_EventQueueReschedule(benchmark::State &state)
+{
+    struct WakeLoop : Event
+    {
+        EventQueue &q;
+        std::uint64_t bytes = 0;
+        std::uint64_t sent = 0;
+
+        explicit WakeLoop(EventQueue &eq) : q(eq) {}
+
+        void
+        send()
+        {
+            Packet pkt;
+            pkt.id = sent;
+            pkt.bytes = 64;
+            Tick latency = 200 + sent++ * 37 % 400;
+            q.scheduleLambda(q.curTick() + latency,
+                             [this, pkt] { respond(pkt); }, "response");
+        }
+        void
+        respond(const Packet &pkt)
+        {
+            bytes += pkt.bytes;
+            if (!scheduled() || when() > q.curTick() + 1)
+                q.reschedule(this, q.curTick() + 1);
+        }
+        void
+        process() override
+        {
+            send();
+            q.schedule(this, q.curTick() + 1000);
+        }
+    };
+
+    constexpr int events = 4096;
+    for (auto _ : state) {
+        EventQueue q;
+        WakeLoop cu(q);
+        for (int i = 0; i < 32; ++i)
+            cu.send();
+        for (int i = 0; i < events; ++i)
+            q.serviceOne();
+        benchmark::DoNotOptimize(cu.bytes);
+    }
+    state.SetItemsProcessed(state.iterations() * events);
+}
+BENCHMARK(BM_EventQueueReschedule);
+
 void
 BM_CacheAccess(benchmark::State &state)
 {

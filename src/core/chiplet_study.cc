@@ -155,6 +155,7 @@ ChipletStudy::run(App app, const ChipletStudyParams &params,
     GpuChipletParams gp;
     gp.monolithic = monolithic;
     std::vector<GpuChiplet *> chiplets;
+    std::vector<ComputeUnit *> cus;
     for (int i = 0; i < params.gpuChiplets; ++i) {
         Simulation::DomainScope scope(sim, domainOf(i));
         NodeId node = topo.nodeOf(NodeKind::GpuChiplet, i);
@@ -182,6 +183,7 @@ ChipletStudy::run(App app, const ChipletStudyParams &params,
             auto *cu = sim.create<ComputeUnit>(
                 strformat("gpu%d.cu%d", i, c), *chiplet, cp);
             dispatcher->assign(*cu, i);
+            cus.push_back(cu);
         }
     }
 
@@ -247,7 +249,8 @@ ChipletStudy::run(App app, const ChipletStudyParams &params,
         row_total += stack->bytesServed();
     }
     r.hbmRowHitRate = row_total > 0.0 ? row_hits / row_total : 0.0;
-    r.memOps = 0;
+    for (const ComputeUnit *cu : cus)
+        r.memOps += cu->memOpsIssued();
     r.eventsProcessed = 0;
     for (int d = 0; d < sim.numDomains(); ++d)
         r.eventsProcessed += sim.eventsProcessedIn(d);

@@ -48,12 +48,9 @@ ComputeUnit::wavefrontReady(const Wavefront &wf) const
 void
 ComputeUnit::wake(Tick when)
 {
-    if (issueEvent_.scheduled()) {
-        if (issueEvent_.when() <= when)
-            return;
-        eventq().deschedule(&issueEvent_);
-    }
-    eventq().schedule(&issueEvent_, std::max(when, curTick()));
+    if (issueEvent_.scheduled() && issueEvent_.when() <= when)
+        return;
+    eventq().reschedule(&issueEvent_, std::max(when, curTick()));
 }
 
 void

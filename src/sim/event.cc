@@ -4,123 +4,92 @@
 
 namespace ena {
 
-Event::~Event() = default;
-
-EventQueue::~EventQueue()
-{
-    // Free every self-deleting lambda wrapper the queue still owns —
-    // live, descheduled, or rescheduled. The ownership set, not the
-    // heap, is walked: heap entries can reference caller-owned events
-    // whose owners were already destroyed, and a rescheduled wrapper
-    // appears under several entries, so inspecting entries would read
-    // dead objects and double-free.
-    for (Event *ev : managed_)
-        delete ev;
-}
-
 void
 EventQueue::schedule(Event *ev, Tick when)
 {
     ENA_ASSERT(ev, "scheduling null event");
-    ENA_ASSERT(!ev->scheduled_, "event '", ev->description(),
+    ENA_ASSERT(!ev->scheduled(), "event '", ev->description(),
                "' already scheduled");
     ENA_ASSERT(when >= curTick_, "scheduling event '", ev->description(),
                "' in the past (", when, " < ", curTick_, ")");
     ev->when_ = when;
-    ev->seq_ = nextSeq_++;
-    ev->scheduled_ = true;
-    ++ev->heapRefs_;
-    heap_.push(Entry{when, ev->seq_, ev});
-    ++liveCount_;
+    ev->heapPos_ = heap_.size();
+    heap_.push_back(Entry{when, nextSeq_++, ev});
+    sift(ev->heapPos_);
 }
 
 void
 EventQueue::deschedule(Event *ev)
 {
-    ENA_ASSERT(ev && ev->scheduled_, "descheduling unscheduled event");
-    ev->scheduled_ = false;
-    --liveCount_;
-    // The heap entry is left in place and skipped lazily when popped.
+    ENA_ASSERT(ev && ev->scheduled(), "descheduling unscheduled event");
+    const std::size_t pos = ev->heapPos_;
+    ev->heapPos_ = Event::notQueued;
+    heap_[pos] = heap_.back();
+    heap_.pop_back();
+    if (pos < heap_.size())
+        sift(pos);
 }
 
 void
 EventQueue::reschedule(Event *ev, Tick when)
 {
-    if (ev->scheduled_)
-        deschedule(ev);
-    schedule(ev, when);
-}
-
-EventFunctionWrapper *
-EventQueue::scheduleLambda(Tick when, std::function<void()> fn,
-                           std::string desc)
-{
-    auto *ev = new EventFunctionWrapper(std::move(fn), std::move(desc));
-    ev->selfDeleting_ = true;
-    managed_.insert(ev);
-    schedule(ev, when);
-    return ev;
+    if (!ev->scheduled())
+        return schedule(ev, when);
+    ENA_ASSERT(when >= curTick_, "rescheduling event '", ev->description(),
+               "' in the past (", when, " < ", curTick_, ")");
+    // A fresh sequence number: the order of a deschedule plus a schedule.
+    ev->when_ = when;
+    heap_[ev->heapPos_] = Entry{when, nextSeq_++, ev};
+    sift(ev->heapPos_);
 }
 
 void
-EventQueue::skim() const
+EventQueue::sift(std::size_t pos)
 {
-    while (!heap_.empty()) {
-        const Entry &e = heap_.top();
-        Event *ev = e.event;
-        if (ev->scheduled_ && ev->seq_ == e.seq)
-            return;
-        // Stale entry (descheduled or rescheduled). A self-deleting
-        // wrapper is freed only once its last heap reference is gone,
-        // so every pointer reached here is still alive.
-        heap_.pop();
-        if (--ev->heapRefs_ == 0 && ev->selfDeleting_ &&
-            !ev->scheduled_) {
-            managed_.erase(ev);
-            delete ev;
-        }
+    const Entry e = heap_[pos];
+    auto move_to = [this](std::size_t from, std::size_t to) {
+        heap_[to] = heap_[from];
+        heap_[to].event->heapPos_ = to;
+    };
+    for (std::size_t up; pos > 0 && e.before(heap_[up = (pos - 1) / 2]);
+         pos = up)
+        move_to(up, pos);
+    for (std::size_t down; (down = 2 * pos + 1) < heap_.size(); pos = down) {
+        if (down + 1 < heap_.size() && heap_[down + 1].before(heap_[down]))
+            ++down;
+        if (!heap_[down].before(e))
+            break;
+        move_to(down, pos);
     }
+    heap_[pos] = e;
+    e.event->heapPos_ = pos;
 }
 
 Tick
 EventQueue::nextTick() const
 {
-    skim();
     if (heap_.empty())
         ENA_FATAL("nextTick() on empty event queue");
-    return heap_.top().when;
-}
-
-Tick
-EventQueue::nextTickOr(Tick fallback) const
-{
-    skim();
-    return heap_.empty() ? fallback : heap_.top().when;
+    return heap_.front().when;
 }
 
 bool
 EventQueue::serviceOne()
 {
-    skim();
     if (heap_.empty())
         return false;
 
-    Entry e = heap_.top();
-    heap_.pop();
-    ENA_ASSERT(e.when >= curTick_, "event queue went backwards");
-    curTick_ = e.when;
-
-    Event *ev = e.event;
-    --ev->heapRefs_;
-    ev->scheduled_ = false;
-    --liveCount_;
+    Event *ev = heap_.front().event;
+    ENA_ASSERT(ev->when_ >= curTick_, "event queue went backwards");
+    curTick_ = ev->when_;
+    deschedule(ev);
     ++processed_;
     ev->process();
-    // Deferred while stale reschedule entries still reference the
-    // wrapper; the last one to pop (in skim) frees it instead.
-    if (ev->selfDeleting_ && !ev->scheduled_ && ev->heapRefs_ == 0) {
-        managed_.erase(ev);
-        delete ev;
+    // A fired slot returns to the pool unless its callable rescheduled it.
+    if (ev->pooled_ && !ev->scheduled()) {
+        auto *slot = static_cast<LambdaEvent *>(ev);
+        slot->fn.reset();
+        free_.push_back(slot);
     }
     return true;
 }
@@ -129,10 +98,7 @@ std::uint64_t
 EventQueue::run(Tick limit)
 {
     std::uint64_t n = 0;
-    while (true) {
-        skim();
-        if (heap_.empty() || heap_.top().when > limit)
-            break;
+    while (!heap_.empty() && heap_.front().when <= limit) {
         serviceOne();
         ++n;
     }
@@ -141,16 +107,9 @@ EventQueue::run(Tick limit)
     // limit, time advances to the window boundary so that repeated
     // run(limit) segments (the PDES barrier pattern) observe monotone,
     // non-stale time. An unbounded run keeps the last event's tick.
-    if (limit != maxTick && curTick_ < limit)
-        curTick_ = limit;
+    if (limit != maxTick)
+        advanceTo(limit);
     return n;
-}
-
-void
-EventQueue::advanceTo(Tick when)
-{
-    if (when > curTick_)
-        curTick_ = when;
 }
 
 } // namespace ena

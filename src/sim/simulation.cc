@@ -57,7 +57,7 @@ Simulation::setDomains(int n)
     ENA_ASSERT(objects_.empty() && !initDone_,
                "setDomains() must precede object creation");
     queues_ = makeQueues(n);
-    outboxes_.assign(static_cast<size_t>(n), {});
+    outboxes_ = std::vector<std::vector<CrossMsg>>(static_cast<size_t>(n));
     msgSeq_.assign(static_cast<size_t>(n), 0);
 }
 
@@ -88,28 +88,25 @@ Simulation::executingDomain() const
     return tlsSim == this ? tlsDomain : 0;
 }
 
-void
-Simulation::postCrossDomain(int dst_domain, Tick when,
-                            std::function<void()> fn, std::string desc)
+int
+Simulation::postingDomain(int dst_domain) const
 {
     ENA_ASSERT(dst_domain >= 0 && dst_domain < numDomains(),
                "post to unknown domain ", dst_domain);
-    int src = executingDomain();
-    if (windowEnd_ == 0 || src == dst_domain) {
-        // Serial contexts (one domain, build time, between runs) and
-        // same-domain posts schedule directly: plain kernel semantics.
-        eventq(dst_domain).scheduleLambda(when, std::move(fn),
-                                          std::move(desc));
-        return;
-    }
+    return executingDomain();
+}
+
+InlineFn &
+Simulation::bufferMessage(int src, int dst, Tick when, const char *desc)
+{
     ENA_ASSERT(when >= windowEnd_,
                "cross-domain post at tick ", when,
                " violates the lookahead window ending at ", windowEnd_,
                " (", desc, ")");
-    auto &outbox = outboxes_[static_cast<size_t>(src)];
-    outbox.push_back(CrossMsg{when, dst_domain, src,
-                              msgSeq_[static_cast<size_t>(src)]++,
-                              std::move(fn), std::move(desc)});
+    auto s = static_cast<size_t>(src);
+    return outboxes_[s]
+        .emplace_back(CrossMsg{when, dst, src, msgSeq_[s]++, desc, {}})
+        .fn;
 }
 
 Tick
@@ -140,25 +137,38 @@ Simulation::run(Tick limit)
 {
     ENA_SPAN("sim", "run");
     initAll();
-    std::uint64_t events = queues_.size() == 1 ? queues_[0]->run(limit)
-                                               : runWindows(limit);
+    WindowCounts counts;
+    const std::uint64_t windowsBefore = windowsRun_;
+    std::uint64_t events = queues_.size() == 1
+                               ? queues_[0]->run(limit)
+                               : runWindows(limit, counts);
 
     static telemetry::Counter &processed = telemetry::counter(
         "sim.events_processed",
         "events executed across all cycle-level simulations");
+    static telemetry::Counter &windows = telemetry::counter(
+        "sim.windows", "PDES windows (barriers) executed");
+    static telemetry::Counter &inlined = telemetry::counter(
+        "sim.windows_inline",
+        "PDES windows with one busy domain, run on the barrier thread");
+    static telemetry::Counter &messages = telemetry::counter(
+        "sim.cross_domain_messages",
+        "messages buffered across PDES domains and merged at barriers");
     processed.add(events);
+    windows.add(windowsRun_ - windowsBefore);
+    inlined.add(counts.inlined);
+    messages.add(counts.messages);
     if (telemetry::metricsEnabled())
         publishStats();
     return events;
 }
 
 std::uint64_t
-Simulation::runWindows(Tick limit)
+Simulation::runWindows(Tick limit, WindowCounts &counts)
 {
     ENA_ASSERT(lookahead_ > 0,
                "multi-domain simulation needs setLookahead() before run");
-    const size_t domains = queues_.size();
-    std::vector<std::uint64_t> windowEvents(domains, 0);
+    std::vector<std::uint64_t> windowEvents(queues_.size(), 0);
     std::uint64_t events = 0;
 
     while (true) {
@@ -177,22 +187,34 @@ Simulation::runWindows(Tick limit)
             end = std::min(end, limit + 1);
         windowEnd_ = end;
 
-        auto runDomain = [&](std::size_t d) {
-            ExecScope scope(this, static_cast<int>(d));
-            windowEvents[d] = queues_[d]->run(end - 1);
-        };
-        if (serialWindows_) {
-            for (std::size_t d = 0; d < domains; ++d)
-                runDomain(d);
-        } else {
-            ThreadPool::global().parallelFor(domains, runDomain);
+        // Only domains with an event before the window end have work;
+        // the others keep their clocks until a later window or the
+        // final settle below.
+        active_.clear();
+        for (std::size_t d = 0; d < queues_.size(); ++d) {
+            if (queues_[d]->nextTickOr(maxTick) < end)
+                active_.push_back(d);
         }
+        auto runDomain = [&](std::size_t i) {
+            const std::size_t d = active_[i];
+            ExecScope scope(this, static_cast<int>(d));
+            windowEvents[i] = queues_[d]->run(end - 1);
+        };
+        // A lone busy domain needs no handoff: parallelFor(1, ...) runs
+        // it on this thread.
+        if (serialWindows_) {
+            for (std::size_t i = 0; i < active_.size(); ++i)
+                runDomain(i);
+        } else {
+            ThreadPool::global().parallelFor(active_.size(), runDomain);
+        }
+        counts.inlined += active_.size() == 1;
         windowEnd_ = 0;
         ++windowsRun_;
-        for (std::uint64_t n : windowEvents)
-            events += n;
+        for (std::size_t i = 0; i < active_.size(); ++i)
+            events += windowEvents[i];
 
-        deliverOutboxes();
+        counts.messages += deliverOutboxes();
     }
 
     // The whole bounded window was simulated: every domain clock lands
@@ -205,34 +227,33 @@ Simulation::runWindows(Tick limit)
     return events;
 }
 
-void
+std::uint64_t
 Simulation::deliverOutboxes()
 {
-    std::vector<CrossMsg> all;
+    merged_.clear();
     for (auto &outbox : outboxes_) {
-        std::move(outbox.begin(), outbox.end(), std::back_inserter(all));
-        outbox.clear();
+        for (CrossMsg &m : outbox)
+            merged_.push_back(&m);
     }
-    if (all.empty())
-        return;
     // Canonical total order: arrival tick, then target domain, then
     // (source domain, per-source sequence). Scheduling in this order
     // fixes the same-tick FIFO position of every message independent
     // of thread interleaving — the determinism bar.
-    std::sort(all.begin(), all.end(),
-              [](const CrossMsg &a, const CrossMsg &b) {
-                  if (a.when != b.when)
-                      return a.when < b.when;
-                  if (a.dst != b.dst)
-                      return a.dst < b.dst;
-                  if (a.src != b.src)
-                      return a.src < b.src;
-                  return a.seq < b.seq;
+    std::sort(merged_.begin(), merged_.end(),
+              [](const CrossMsg *a, const CrossMsg *b) {
+                  if (a->when != b->when)
+                      return a->when < b->when;
+                  if (a->dst != b->dst)
+                      return a->dst < b->dst;
+                  if (a->src != b->src)
+                      return a->src < b->src;
+                  return a->seq < b->seq;
               });
-    for (CrossMsg &m : all) {
-        eventq(m.dst).scheduleLambda(m.when, std::move(m.fn),
-                                     std::move(m.desc));
-    }
+    for (CrossMsg *m : merged_)
+        eventq(m->dst).scheduleLambda(m->when, std::move(m->fn), m->desc);
+    for (auto &outbox : outboxes_)
+        outbox.clear();
+    return merged_.size();
 }
 
 void

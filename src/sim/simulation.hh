@@ -8,14 +8,16 @@
  * this repo. For multi-chiplet models it can instead be partitioned
  * into several *domains* (setDomains), each with its own EventQueue and
  * its own SimObjects. Domains execute conservative-window PDES: every
- * window of `lookahead()` ticks runs concurrently on the process-wide
- * ThreadPool (one task per domain), and cross-domain interactions —
- * posted with postCrossDomain() and required to land at least one
- * lookahead in the future — are exchanged at deterministic window
- * barriers in a canonical (tick, dst, src, seq) order. Results are
- * therefore a pure function of the domain decomposition: bit-identical
- * at any thread count, with serial window execution
- * (setSerialWindows(true), or ENA_THREADS=1) as the reference.
+ * window of `lookahead()` ticks runs the domains that have an event in
+ * it concurrently on the process-wide ThreadPool (one task per domain;
+ * a lone busy domain runs inline on the barrier thread), and
+ * cross-domain interactions — posted with postCrossDomain() and required
+ * to land at least one lookahead in the future — are exchanged at
+ * deterministic window barriers in a canonical (tick, dst, src, seq)
+ * order. Results are therefore a pure function of the domain
+ * decomposition: bit-identical at any thread count, with serial window
+ * execution (setSerialWindows(true), or ENA_THREADS=1) as the
+ * reference.
  *
  * Invariants the windowed mode relies on:
  *  - an object's events run only on its own domain's queue, and its
@@ -29,7 +31,6 @@
 #ifndef ENA_SIM_SIMULATION_HH
 #define ENA_SIM_SIMULATION_HH
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -132,11 +133,23 @@ class Simulation
      * (when >= window end, fatal otherwise); the message is buffered in
      * the sender's outbox and merged at the next barrier in canonical
      * (when, dst, src, seq) order. Outside a window (startup, between
-     * runs) it schedules directly. With one domain this is exactly
-     * eventq().scheduleLambda(when, fn).
+     * runs) and within one domain it is exactly
+     * eventq(dst_domain).scheduleLambda(when, fn, desc). @p desc must
+     * outlive the message (a literal).
      */
-    void postCrossDomain(int dst_domain, Tick when,
-                         std::function<void()> fn, std::string desc);
+    template <typename F>
+    void
+    postCrossDomain(int dst_domain, Tick when, F &&fn, const char *desc)
+    {
+        const int src = postingDomain(dst_domain);
+        if (windowEnd_ == 0 || src == dst_domain) {
+            eventq(dst_domain).scheduleLambda(when, std::forward<F>(fn),
+                                              desc);
+        } else {
+            bufferMessage(src, dst_domain, when, desc)
+                .emplace(std::forward<F>(fn));
+        }
+    }
 
     EventQueue &eventq() { return eventq(0); }
     const EventQueue &eventq() const { return eventq(0); }
@@ -203,15 +216,28 @@ class Simulation
         int dst;
         int src;
         std::uint64_t seq;
-        std::function<void()> fn;
-        std::string desc;
+        const char *desc;
+        InlineFn fn;
     };
 
-    std::uint64_t runWindows(Tick limit);
-    void deliverOutboxes();
+    /** One-domain window and message counts of one run(), added to the
+     *  telemetry counters once at its end. */
+    struct WindowCounts
+    {
+        std::uint64_t inlined = 0;
+        std::uint64_t messages = 0;
+    };
+
+    /** Check @p dst_domain and return the executing (source) domain. */
+    int postingDomain(int dst_domain) const;
+    /** Append a message to @p src's outbox; returns its callable. */
+    InlineFn &bufferMessage(int src, int dst, Tick when, const char *desc);
+    std::uint64_t runWindows(Tick limit, WindowCounts &counts);
+    /** Schedule every buffered message; returns how many there were. */
+    std::uint64_t deliverOutboxes();
 
     // Destruction runs in reverse declaration order: queues_ die first
-    // (their destructors inspect Events still owned by live SimObjects),
+    // (destroying pending callables that may point at live SimObjects),
     // then objects_ (whose stats deregister from stats_), then stats_.
     StatRegistry stats_;
     std::vector<std::unique_ptr<SimObject>> objects_;
@@ -230,6 +256,10 @@ class Simulation
      *  thread running domain d's window. */
     std::vector<std::vector<CrossMsg>> outboxes_;
     std::vector<std::uint64_t> msgSeq_;
+    /** Barrier scratch, reused across windows: the merged message
+     *  order and the domains with an event in the window. */
+    std::vector<CrossMsg *> merged_;
+    std::vector<std::size_t> active_;
 
     static std::vector<std::unique_ptr<EventQueue>> makeQueues(int n);
 };

@@ -40,6 +40,27 @@ TEST(ChipletStudy, RunsToCompletionAndReportsSaneNumbers)
     EXPECT_GT(r.meanHops, 0.0);
 }
 
+TEST(ChipletStudy, RunCountsEveryIssuedMemoryOp)
+{
+    // Every wavefront issues its whole quota before the run drains, in
+    // both modes, serially and sharded into PDES domains.
+    ChipletStudy study;
+    ChipletStudyParams p = quickParams(App::LULESH);
+    const std::uint64_t quota =
+        static_cast<std::uint64_t>(p.gpuChiplets * p.cusPerChiplet *
+                                   p.wavefrontsPerCu) *
+        p.memOpsPerWavefront;
+    for (int domains : {1, 4}) {
+        p.domains = domains;
+        for (bool monolithic : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << domains << " domains, "
+                         << (monolithic ? "monolithic" : "chiplet"));
+            EXPECT_EQ(study.run(App::LULESH, p, monolithic).memOps, quota);
+        }
+    }
+}
+
 TEST(ChipletStudy, MonolithicModeUsesSingleHopFabric)
 {
     ChipletStudy study;

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/simulation.hh"
+#include "telemetry/metrics.hh"
 #include "util/string_utils.hh"
 
 using namespace ena;
@@ -274,6 +275,49 @@ TEST(SimDomains, BarrierMergesInCanonicalOrder)
     }
     sim.run();
     EXPECT_EQ(c->log, (std::vector<int>{10, 11, 20, 21}));
+}
+
+TEST(SimDomains, RunCountsWindowsAndCrossDomainMessages)
+{
+    // Every ping crosses a domain boundary from inside a window, so one
+    // sharded run adds its windows, and all 6 x 200 pings, to the
+    // telemetry counters; the single-queue kernel adds neither.
+    telemetry::Counter &windows = telemetry::counter("sim.windows");
+    telemetry::Counter &inlined = telemetry::counter("sim.windows_inline");
+    telemetry::Counter &messages =
+        telemetry::counter("sim.cross_domain_messages");
+    for (int d : {1, 4}) {
+        const std::uint64_t w0 = windows.value();
+        const std::uint64_t i0 = inlined.value();
+        const std::uint64_t m0 = messages.value();
+        PingRun r = runPingers(d, false);
+        EXPECT_EQ(windows.value() - w0, r.windows) << "domains=" << d;
+        EXPECT_LE(inlined.value() - i0, r.windows) << "domains=" << d;
+        EXPECT_EQ(messages.value() - m0, d == 1 ? 0u : 6u * 200u)
+            << "domains=" << d;
+    }
+}
+
+TEST(SimDomains, WindowsWithOneBusyDomainCountAsInline)
+{
+    // Domain 0 alone has events at ticks 0 and 1000; both domains have
+    // one at 2000. Three windows, of which the first two run one domain.
+    telemetry::Counter &inlined = telemetry::counter("sim.windows_inline");
+    for (bool serial : {true, false}) {
+        Simulation sim;
+        sim.setDomains(2);
+        sim.setLookahead(100);
+        sim.setSerialWindows(serial);
+        int fired = 0;
+        for (Tick t : {0, 1000, 2000})
+            sim.eventq(0).scheduleLambda(t, [&fired] { ++fired; });
+        sim.eventq(1).scheduleLambda(2000, [&fired] { ++fired; });
+        const std::uint64_t i0 = inlined.value();
+        sim.run();
+        EXPECT_EQ(fired, 4);
+        EXPECT_EQ(sim.windowsRun(), 3u) << "serial=" << serial;
+        EXPECT_EQ(inlined.value() - i0, 2u) << "serial=" << serial;
+    }
 }
 
 TEST(SimDomains, PostOutsideWindowSchedulesDirectly)
